@@ -59,22 +59,23 @@ type Engine struct {
 	// with the same shared Gate).
 	Runner Runner
 	// Ckpt, when non-nil, is the checkpoint artifact store inline
-	// executions run against (ExecuteStored): sampled cells of a sweep
-	// share one warming pass per CheckpointKey instead of each
+	// executions run against (ExecuteBatchStored): sampled cells of a
+	// sweep share one warming pass per CheckpointKey instead of each
 	// recomputing it. A Runner is expected to carry its own store.
 	Ckpt *ckpt.Store
-	// Lockstep groups cache-missed sampled jobs that share a
-	// CheckpointKey (one functional identity: benchmark, seed, budget,
-	// warming class, geometry, regime) into lockstep batches: one
-	// emulator + warming stream fans each detailed window out to every
-	// cell's core (sample.RunLockstepStored), so the sweep axis becomes
-	// a batch dimension of the hot loop. Per-cell JobKeys, caching,
-	// delivery and exports are unchanged, and per-cell results are
-	// bit-identical to the per-job path. Only inline local execution
-	// batches: an engine with a Runner (the campaign service) or a
-	// shared Flight schedules per job, where fleet-wide dedup owns the
-	// sharing. Batches never span Run calls, so two tenants' campaigns
-	// can never share one.
+	// Lockstep plans sampled jobs that share a CheckpointKey (one
+	// functional identity: benchmark, seed, budget, warming class,
+	// geometry, regime) into lockstep batches: one emulator + warming
+	// stream fans each detailed window out to every cell's core
+	// (sample.RunLockstepStored), so the sweep axis becomes a batch
+	// dimension of the hot loop. Per-cell JobKeys, caching, delivery and
+	// exports are unchanged, and per-cell results are bit-identical to
+	// the per-job path. It only changes how units are planned: a batch
+	// and a solo job run through the same unit path. Only inline local
+	// execution batches: an engine with a Runner (the campaign service)
+	// or a shared Flight plans units of one job, where fleet-wide dedup
+	// owns the sharing. Batches never span Run calls, so two tenants'
+	// campaigns can never share one.
 	Lockstep bool
 }
 
@@ -149,7 +150,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	cache, err := newDiskCache(e.CacheDir)
+	cache, err := OpenCache(e.CacheDir)
 	if err != nil {
 		return nil, err
 	}
@@ -226,200 +227,120 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*ResultSet, error) {
 		mu.Unlock()
 	}
 
-	runJob := func(idx int) {
-		job := &jobs[idx]
-		var key string
-		if cache != nil || e.Flight != nil {
-			k, err := JobKey(job, spec.Params)
-			if err == nil {
+	// runUnit executes one work unit. Cells the cache serves leave the
+	// unit first; the rest run as ONE execution (a lockstep batch is one
+	// simulation's worth of functional work — that sharing is the point)
+	// and are delivered, cached or failed cell by cell.
+	runUnit := func(unit []int) {
+		var run []int
+		var keys []string
+		for _, idx := range unit {
+			var key string
+			if cache != nil || e.Flight != nil {
 				// Unhashable jobs still run; they just can't be cached
 				// or deduplicated.
-				key = k
+				key, _ = JobKey(&jobs[idx], spec.Params)
 			}
-		}
-		fromCache := func() (Result, bool) {
-			if cache == nil || key == "" {
-				return Result{}, false
-			}
-			res, ok := cache.get(key)
-			if ok {
+			if res, ok := cache.Get(key); ok {
 				// The key omits the sweep point (it is encoded in the
 				// derived config); restamp the requester's coordinates.
-				res.Point = job.Point
+				res.Point = jobs[idx].Point
+				deliver(idx, res, howCached)
+				continue
 			}
-			return res, ok
+			run, keys = append(run, idx), append(keys, key)
 		}
-		if res, ok := fromCache(); ok {
-			deliver(idx, res, howCached)
+		if len(run) == 0 {
 			return
 		}
-		// exec is the one path that simulates: it re-checks the cache (a
-		// concurrent identical job may have finished and written its
-		// entry between our miss and this flight turn), takes a Gate
-		// slot, runs, and persists.
-		exec := func() (Result, error) {
-			if res, ok := fromCache(); ok {
-				return res, nil
-			}
-			if e.Runner != nil {
-				if e.OnJobStart != nil {
-					mu.Lock()
-					e.OnJobStart(*job)
-					mu.Unlock()
-				}
-				res, err := e.Runner.RunJob(ctx, job, key, spec.Params)
-				if err != nil {
-					return res, err
-				}
-				if cache != nil && key != "" {
-					_ = cache.put(key, res)
-				}
-				return res, nil
-			}
-			if e.Gate != nil {
+		// execute is the one path that simulates: on the Runner, or
+		// inline under one Gate slot; successes enter the cache.
+		execute := func() ([]Result, []error) {
+			results, cerrs := make([]Result, len(run)), make([]error, len(run))
+			if e.Runner == nil && e.Gate != nil {
 				if err := e.Gate.Acquire(ctx); err != nil {
-					return Result{}, err
+					for i := range cerrs {
+						cerrs[i] = err
+					}
+					return results, cerrs
 				}
 				defer e.Gate.Release()
 			}
 			if e.OnJobStart != nil {
 				mu.Lock()
-				e.OnJobStart(*job)
+				for _, idx := range run {
+					e.OnJobStart(jobs[idx])
+				}
 				mu.Unlock()
 			}
-			res, err := ExecuteStored(ctx, job, e.Ckpt)
-			if err != nil {
-				return res, err
+			if e.Runner != nil {
+				// Engines with a Runner plan units of one job.
+				results[0], cerrs[0] = e.Runner.RunJob(ctx, &jobs[run[0]], keys[0], spec.Params)
+			} else {
+				bjobs := make([]*Job, len(run))
+				for i, idx := range run {
+					bjobs[i] = &jobs[idx]
+				}
+				results, cerrs = ExecuteBatchStored(ctx, bjobs, e.Ckpt)
 			}
-			if cache != nil && key != "" {
-				// A failed write only costs the next run a re-simulation.
-				_ = cache.put(key, res)
+			for i, err := range cerrs {
+				if err == nil {
+					// A failed write only costs the next run a re-simulation.
+					_ = cache.Put(keys[i], results[i])
+				}
 			}
-			return res, nil
+			return results, cerrs
 		}
 		var (
-			res    Result
-			shared bool
-			err    error
+			results []Result
+			cerrs   []error
+			shared  bool
 		)
-		if e.Flight != nil && key != "" {
-			res, shared, err = e.Flight.Do(ctx, key, exec)
+		if e.Flight != nil && keys[0] != "" {
+			// Engines with a Flight plan units of one job. The flight
+			// re-checks the cache: a concurrent identical job may have
+			// finished and written its entry since our miss.
+			res, sh, err := e.Flight.Do(ctx, keys[0], func() (Result, error) {
+				if res, ok := cache.Get(keys[0]); ok {
+					res.Point = jobs[run[0]].Point
+					return res, nil
+				}
+				results, cerrs := execute()
+				return results[0], cerrs[0]
+			})
+			results, cerrs, shared = []Result{res}, []error{err}, sh
 		} else {
-			res, err = exec()
-		}
-		if err != nil {
-			if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-				return // cancelled before/while running: skipped, not failed
-			}
-			mu.Lock()
-			errs = append(errs, err)
-			if e.OnJobError != nil {
-				e.OnJobError(*job, err)
-			}
-			mu.Unlock()
-			cancel()
-			return
-		}
-		how := howExecuted
-		switch {
-		case shared:
-			// Another caller's execution (possibly of a job with a
-			// different sweep point but identical derived config):
-			// restamp our coordinates, as for a cache hit.
-			res.Point = job.Point
-			res.Dedup = true
-			how = howDedup
-		case res.Cached:
-			how = howCached
-		}
-		deliver(idx, res, how)
-	}
-
-	// runBatch executes one lockstep unit. Cells served by the cache
-	// leave the batch first; whatever remains runs as one shared-stream
-	// execution under a single Gate slot (the batch is one simulation's
-	// worth of functional work — that sharing is the point), delivering,
-	// caching and error-reporting per cell exactly like runJob.
-	runBatch := func(idxs []int) {
-		run := idxs[:0:0]
-		keys := make(map[int]string, len(idxs))
-		for _, idx := range idxs {
-			job := &jobs[idx]
-			var key string
-			if cache != nil {
-				if k, err := JobKey(job, spec.Params); err == nil {
-					key = k
-				}
-			}
-			keys[idx] = key
-			if key != "" {
-				if res, ok := cache.get(key); ok {
-					res.Point = job.Point
-					deliver(idx, res, howCached)
-					continue
-				}
-			}
-			run = append(run, idx)
-		}
-		if len(run) == 0 {
-			return
-		}
-		if len(run) == 1 {
-			// A one-cell batch is just a job; the solo path also re-probes
-			// the cache and keeps the two executors trivially aligned.
-			runJob(run[0])
-			return
-		}
-		if e.Gate != nil {
-			if err := e.Gate.Acquire(ctx); err != nil {
-				return // cancelled while queued: skipped, not failed
-			}
-		}
-		if e.OnJobStart != nil {
-			mu.Lock()
-			for _, idx := range run {
-				e.OnJobStart(jobs[idx])
-			}
-			mu.Unlock()
-		}
-		bjobs := make([]*Job, len(run))
-		for i, idx := range run {
-			bjobs[i] = &jobs[idx]
-		}
-		results, cerrs, gerr := ExecuteBatchStored(ctx, bjobs, e.Ckpt)
-		if e.Gate != nil {
-			e.Gate.Release()
-		}
-		fail := func(idx int, err error) {
-			if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-				return // cancellation is a skip, not a failure
-			}
-			mu.Lock()
-			errs = append(errs, err)
-			if e.OnJobError != nil {
-				e.OnJobError(jobs[idx], err)
-			}
-			mu.Unlock()
-			cancel()
-		}
-		if gerr != nil && cerrs == nil {
-			// Setup failed before any cell could run: every cell reports it.
-			for _, idx := range run {
-				fail(idx, fmt.Errorf("%s: %w", jobs[idx].ID(), gerr))
-			}
-			return
+			results, cerrs = execute()
 		}
 		for i, idx := range run {
-			if cerrs != nil && cerrs[i] != nil {
-				// A mid-batch cell failure sinks only its own cell; its
-				// batchmates' results still land below.
-				fail(idx, cerrs[i])
+			if err := cerrs[i]; err != nil {
+				// A failed cell sinks only itself; its batchmates land.
+				// A cell cancelled before or while running is skipped,
+				// not failed.
+				if ctx.Err() == nil || !errors.Is(err, ctx.Err()) {
+					mu.Lock()
+					errs = append(errs, err)
+					if e.OnJobError != nil {
+						e.OnJobError(jobs[idx], err)
+					}
+					mu.Unlock()
+					cancel()
+				}
 				continue
 			}
-			if cache != nil && keys[idx] != "" {
-				_ = cache.put(keys[idx], results[i])
+			res, how := results[i], howExecuted
+			switch {
+			case shared:
+				// Another caller's execution (possibly of a job with a
+				// different sweep point but identical derived config):
+				// restamp our coordinates, as for a cache hit.
+				res.Point = jobs[idx].Point
+				res.Dedup = true
+				how = howDedup
+			case res.Cached:
+				how = howCached
 			}
-			deliver(idx, results[i], howExecuted)
+			deliver(idx, res, how)
 		}
 	}
 
@@ -436,11 +357,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*ResultSet, error) {
 				if !ok {
 					return
 				}
-				if u := units[idx]; len(u) == 1 {
-					runJob(u[0])
-				} else {
-					runBatch(u)
-				}
+				runUnit(units[idx])
 			}
 		}(w)
 	}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -86,10 +87,20 @@ func (t Technique) instrumentOptions() (opt core.Options, ok bool) {
 // benchmark program. It is exposed for drivers (cmd/sdiqsim) that attach
 // probes and run the program themselves.
 func Prepare(job *Job) (*prog.Program, Result, error) {
+	p, res, err := prepare(job)
+	if err != nil {
+		err = fmt.Errorf("%s: %w", job.ID(), err)
+	}
+	return p, res, err
+}
+
+// prepare is Prepare with errors not yet naming the job, so a unit can
+// report one preparation failure under each of its cells' IDs.
+func prepare(job *Job) (*prog.Program, Result, error) {
 	res := Result{Bench: job.Bench, Tech: job.Tech, Point: job.Point}
 	b, ok := workload.ByName(job.Bench)
 	if !ok {
-		return nil, res, fmt.Errorf("%s: unknown benchmark", job.ID())
+		return nil, res, errors.New("unknown benchmark")
 	}
 	t0 := time.Now()
 	p := b.Build(job.Seed)
@@ -99,7 +110,7 @@ func Prepare(job *Job) (*prog.Program, Result, error) {
 		t1 := time.Now()
 		rep, err := core.Instrument(p, opt)
 		if err != nil {
-			return nil, res, fmt.Errorf("%s: %w", job.ID(), err)
+			return nil, res, err
 		}
 		res.CompileMS = float64(time.Since(t1).Microseconds()) / 1000
 		res.Hints = rep.HintsInserted + rep.TagsApplied
@@ -120,44 +131,14 @@ func Execute(ctx context.Context, job *Job) (Result, error) {
 // job resumes its detailed windows from the store's artifact when one
 // exists under the job's CheckpointKey, and generates it write-through
 // otherwise. Results are bit-identical either way; a nil store simply
-// runs everything warm-from-scratch.
-func ExecuteStored(ctx context.Context, job *Job, store *ckpt.Store) (res Result, err error) {
-	if err := ctx.Err(); err != nil {
-		return Result{Bench: job.Bench, Tech: job.Tech, Point: job.Point}, err
-	}
-	started := time.Now().UTC()
-	defer func() {
-		res.StartedAt = started
-		res.FinishedAt = time.Now().UTC()
-	}()
-	p, res, err := Prepare(job)
-	if err != nil {
-		return res, err
-	}
-	if job.Sampling != nil {
-		var key string
-		if store != nil {
-			// An unkeyable job still runs; it just can't share warm state.
-			key, _ = CheckpointKey(job)
-		}
-		rep, err := sample.RunStored(ctx, job.Config, p, job.Budget, job.Sampling.engineConfig(), store, key)
-		if err != nil {
-			return res, fmt.Errorf("%s: %w", job.ID(), err)
-		}
-		res.Stats = rep.Stats
-		res.Sampled = sampledMetaOf(rep)
-		return res, nil
-	}
-	st, err := sim.RunProgramContext(ctx, job.Config, p, job.Budget)
-	if err != nil {
-		return res, fmt.Errorf("%s: %w", job.ID(), err)
-	}
-	res.Stats = st
-	return res, nil
+// runs everything warm-from-scratch. It is the one-job case of
+// ExecuteBatchStored.
+func ExecuteStored(ctx context.Context, job *Job, store *ckpt.Store) (Result, error) {
+	results, errs := ExecuteBatchStored(ctx, []*Job{job}, store)
+	return results[0], errs[0]
 }
 
-// sampledMetaOf converts a sampling report to the result view; shared by
-// the solo and lockstep executors so both populate it identically.
+// sampledMetaOf converts a sampling report to the result view.
 func sampledMetaOf(rep *sample.Report) *SampledMeta {
 	return &SampledMeta{
 		Windows:        len(rep.Windows),
@@ -171,67 +152,72 @@ func sampledMetaOf(rep *sample.Report) *SampledMeta {
 	}
 }
 
-// ExecuteBatchStored runs a lockstep batch: sampled jobs sharing one
-// functional identity (equal CheckpointKey — same benchmark, seed,
-// budget, warming class, cache/predictor geometry and regime) execute as
-// K cells over ONE emulator + functional-warming stream, paying the
-// shared work once. The program is prepared once (within a warming class
-// the instrumentation is identical), and with a store attached the whole
-// batch touches the checkpoint artifact once.
+// ExecuteBatchStored executes one unit: a single exact job, or sampled
+// jobs sharing one functional identity (equal CheckpointKey — same
+// benchmark, seed, budget, warming class, cache/predictor geometry and
+// regime) as K cells over ONE emulator + functional-warming stream,
+// paying the shared work once. The program is prepared once (within a
+// warming class the instrumentation is identical), and with a store
+// attached the whole unit touches the checkpoint artifact once.
 //
-// Per-cell results are bit-identical to ExecuteStored running each job
-// alone — the differential suites in internal/sample assert this. The
-// returned errs slice (nil when every cell succeeded) carries per-cell
-// failures: one broken cell does not sink its batchmates. A non-nil
-// global error reports setup failures or cancellation that apply to
-// every cell.
-func ExecuteBatchStored(ctx context.Context, jobs []*Job, store *ckpt.Store) (results []Result, errs []error, err error) {
+// Per-cell results are bit-identical to each job executing alone — the
+// differential suites in internal/sample assert this. errs holds one
+// entry per cell, naming the cell's job: one broken cell does not sink
+// its batchmates, while setup failures land on every cell. A unit
+// cancelled before it starts reports ctx's error on every cell.
+func ExecuteBatchStored(ctx context.Context, jobs []*Job, store *ckpt.Store) (results []Result, errs []error) {
 	results = make([]Result, len(jobs))
+	errs = make([]error, len(jobs))
 	for i, job := range jobs {
 		results[i] = Result{Bench: job.Bench, Tech: job.Tech, Point: job.Point}
 	}
 	if err := ctx.Err(); err != nil {
-		return results, nil, err
-	}
-	if jobs[0].Sampling == nil {
-		return results, nil, fmt.Errorf("campaign: lockstep batch needs sampled jobs")
+		for i := range errs {
+			errs[i] = err
+		}
+		return results, errs
 	}
 	started := time.Now().UTC()
-	p, prep, perr := Prepare(jobs[0])
-	if perr != nil {
-		return results, nil, perr
-	}
-	cfgs := make([]sim.Config, len(jobs))
-	for i, job := range jobs {
-		cfgs[i] = job.Config
-	}
-	var key string
-	if store != nil {
-		// An unkeyable job still runs; it just can't share warm state.
-		key, _ = CheckpointKey(jobs[0])
-	}
-	cells, gerr := sample.RunLockstepStored(ctx, cfgs, p, jobs[0].Budget, jobs[0].Sampling.engineConfig(), store, key)
-	if cells == nil {
-		return results, nil, gerr
+	job := jobs[0]
+	var cells []sample.Cell
+	p, prep, err := prepare(job)
+	switch {
+	case err != nil:
+	case job.Sampling != nil:
+		cfgs := make([]sim.Config, len(jobs))
+		for i, job := range jobs {
+			cfgs[i] = job.Config
+		}
+		var key string
+		if store != nil {
+			// An unkeyable job still runs; it just can't share warm state.
+			key, _ = CheckpointKey(job)
+		}
+		cells, err = sample.RunLockstepStored(ctx, cfgs, p, job.Budget, job.Sampling.engineConfig(), store, key)
+	case len(jobs) > 1:
+		err = fmt.Errorf("campaign: exact unit of %d jobs; only sampled jobs share a stream", len(jobs))
+	default:
+		var st sim.Stats
+		if st, err = sim.RunProgramContext(ctx, job.Config, p, job.Budget); err == nil {
+			results[0].Stats = st
+		}
 	}
 	finished := time.Now().UTC()
-	errs = make([]error, len(jobs))
-	failed := false
 	for i, job := range jobs {
 		res := &results[i]
 		res.GenMS, res.CompileMS, res.Hints = prep.GenMS, prep.CompileMS, prep.Hints
 		res.StartedAt, res.FinishedAt = started, finished
-		if cells[i].Err != nil {
-			errs[i] = fmt.Errorf("%s: %w", job.ID(), cells[i].Err)
-			failed = true
-			continue
+		cerr := err
+		if cells != nil {
+			// Cancellation mid-run also lands in every live cell.
+			if cerr = cells[i].Err; cerr == nil {
+				res.Stats = cells[i].Report.Stats
+				res.Sampled = sampledMetaOf(cells[i].Report)
+			}
 		}
-		rep := cells[i].Report
-		res.Stats = rep.Stats
-		res.Sampled = sampledMetaOf(rep)
+		if cerr != nil {
+			errs[i] = fmt.Errorf("%s: %w", job.ID(), cerr)
+		}
 	}
-	if !failed {
-		errs = nil
-	}
-	return results, errs, gerr
+	return results, errs
 }

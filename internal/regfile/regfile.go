@@ -100,17 +100,8 @@ func (f *File) setFree(r int, free bool) {
 	}
 }
 
-// Capacity returns the physical register count.
-func (f *File) Capacity() int { return f.cfg.Regs }
-
-// Banks returns the bank count.
-func (f *File) Banks() int { return f.banks }
-
 // Live returns the number of allocated physical registers.
 func (f *File) Live() int { return f.live }
-
-// FreeCount returns the number of free physical registers.
-func (f *File) FreeCount() int { return f.cfg.Regs - f.live }
 
 // BanksOn returns the number of banks holding at least one live register.
 // The count is maintained incrementally on allocate and free: it is read

@@ -21,7 +21,7 @@ import (
 // instructions and tracking the most recent issue-queue hint so a
 // detailed window can start with the enclosing region's hint applied
 // (Core.PresetHint) instead of an uncontrolled queue. The functional
-// phases update the counters inline (see generate) to avoid a call and
+// phases update the counters inline (see warmTo) to avoid a call and
 // a record copy per fast-forwarded instruction.
 type countedStream struct {
 	e        *emu.Emulator
@@ -47,6 +47,22 @@ func (s *countedStream) Next() (trace.DynInst, bool) {
 	}
 	s.observe(&d)
 	return d, ok
+}
+
+// warmTo advances the stream to stop real instructions (or the end of
+// the program), warming w with every record. Functional warming, the
+// re-execution of a detailed window's region and warming fast-forward
+// all run through this one loop.
+func (s *countedStream) warmTo(w *warmer, stop int64) {
+	e := s.e
+	for s.real < stop {
+		d, ok := e.Next()
+		if !ok {
+			return
+		}
+		s.observe(&d)
+		w.observe(&d)
+	}
 }
 
 // warmer drives the update-only warming paths of the cache hierarchy and
@@ -206,19 +222,7 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 	bp := bpred.New(cfgs[0].Bpred)
 	cs := &countedStream{e: e}
 	warm := newWarmer(mem, bp)
-	reports := make([]*Report, len(cfgs))
-	errs := make([]error, len(cfgs))
-	for i := range reports {
-		reports[i] = &Report{Confidence: sc.Confidence}
-	}
-	live := len(cfgs)
-	// fail retires one cell: its report ends at the failure's stream
-	// position, the rest of the grid keeps measuring.
-	fail := func(i int, err error, at int64) {
-		errs[i] = err
-		reports[i].finalize(at)
-		live--
-	}
+	set := newCellSet(cfgs, sc)
 
 	var w *ckpt.Writer
 	if store != nil && key != "" {
@@ -247,35 +251,15 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 
 	for cs.real < budget {
 		if err := ctx.Err(); err != nil {
-			for i := range errs {
-				if errs[i] == nil {
-					fail(i, err, cs.real)
-				}
-			}
-			return cellsOf(reports, errs), err
+			return set.retireAll(err, cs.real), err
 		}
 
 		// Functional warming: architectural execution plus cache and
 		// predictor state transitions, no statistics.
 		warmStart := cs.real
-		stop := warmStart + sc.WarmupInsts
-		if stop > budget {
-			stop = budget
-		}
-		for cs.real < stop {
-			d, ok := e.Next()
-			if !ok {
-				break
-			}
-			cs.observe(&d)
-			warm.observe(&d)
-		}
+		cs.warmTo(warm, min(warmStart+sc.WarmupInsts, budget))
 		warmed := cs.real - warmStart
-		for i := range reports {
-			if errs[i] == nil {
-				reports[i].WarmedReal += warmed
-			}
-		}
+		set.forLive(func(rep *Report) { rep.WarmedReal += warmed })
 		if cs.real >= budget || e.Halted() {
 			break
 		}
@@ -283,9 +267,7 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 		// Detailed window on a fork of the stream state at this position.
 		// The window's resume state is serialized before any cell runs,
 		// so the published artifact holds exactly what every measurement
-		// saw. Each live cell then measures on its own fork of the warm
-		// state; the last one consumes the snapshot itself, which makes
-		// K=1 byte-for-byte the pre-lockstep single-run path.
+		// saw.
 		detail := windowDetail(sc, cs.real, budget)
 		win := &ckpt.Window{
 			StartReal: cs.real,
@@ -300,52 +282,21 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 				w = nil
 			}
 		}
-		forks := live
-		for i := range cfgs {
-			if errs[i] != nil {
-				continue
-			}
-			cw := win
-			if forks--; forks > 0 {
-				cw = &ckpt.Window{
-					StartReal: win.StartReal,
-					LastHint:  win.LastHint,
-					Ckpt:      win.Ckpt,
-					Mem:       win.Mem.Clone(),
-					Bp:        win.Bp.Clone(),
-				}
-			}
-			winStats, werr := runWindow(ctx, cfgs[i], p, cw, detail, sc)
-			reports[i].Windows = append(reports[i].Windows, Window{StartSeq: win.Ckpt.Seq(), Stats: winStats})
-			if werr != nil {
-				fail(i, werr, cs.real)
-			}
-		}
-		if live == 0 {
-			return cellsOf(reports, errs), nil
+		set.measure(ctx, p, win, detail, sc, cs.real)
+		if set.live == 0 {
+			return set.cells, nil
 		}
 
 		// The main stream re-executes the window's region functionally —
 		// with warming, regardless of PureFastForward, so the state every
 		// later window starts from is a pure function of the stream
 		// position and never of this cell's detailed configuration.
-		stop = cs.real + detail
-		for cs.real < stop {
-			d, ok := e.Next()
-			if !ok {
-				break
-			}
-			cs.observe(&d)
-			warm.observe(&d)
-		}
+		cs.warmTo(warm, cs.real+detail)
 
 		// Fast-forward: architectural state always; cache and predictor
 		// warming too unless PureFastForward.
 		ffStart := cs.real
-		stop = ffStart + jitteredGap()
-		if stop > budget {
-			stop = budget
-		}
+		stop := min(ffStart+jitteredGap(), budget)
 		if sc.PureFastForward {
 			for cs.real < stop {
 				d, ok := e.Next()
@@ -355,32 +306,19 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 				cs.observe(&d)
 			}
 		} else {
-			for cs.real < stop {
-				d, ok := e.Next()
-				if !ok {
-					break
-				}
-				cs.observe(&d)
-				warm.observe(&d)
-			}
+			cs.warmTo(warm, stop)
 		}
 		ffwd := cs.real - ffStart
-		for i := range reports {
-			if errs[i] == nil {
-				reports[i].FastForwardReal += ffwd
-			}
-		}
+		set.forLive(func(rep *Report) { rep.FastForwardReal += ffwd })
 		if e.Halted() {
 			break
 		}
 	}
 	var done *Report
-	for i := range reports {
-		if errs[i] == nil {
-			reports[i].finalize(cs.real)
-			done = reports[i]
-		}
-	}
+	set.forLive(func(rep *Report) {
+		rep.finalize(cs.real)
+		done = rep
+	})
 	if w != nil && done != nil {
 		// Publish only a complete artifact; a commit failure is a cache
 		// miss for the next job, not an error for this one. The stream
@@ -393,7 +331,7 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 		})
 		w = nil
 	}
-	return cellsOf(reports, errs), nil
+	return set.cells, nil
 }
 
 // resumeK replays a run's detailed windows from a stored artifact for
@@ -417,21 +355,10 @@ func resumeK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget int
 		// mismatches as a miss without evicting the artifact.
 		return nil, nil, false
 	}
-	reports := make([]*Report, len(cfgs))
-	errs := make([]error, len(cfgs))
-	for i := range reports {
-		reports[i] = &Report{Confidence: sc.Confidence}
-	}
-	live := len(cfgs)
+	set := newCellSet(cfgs, sc)
 	for {
 		if cerr := ctx.Err(); cerr != nil {
-			for i := range errs {
-				if errs[i] == nil {
-					errs[i] = cerr
-					reports[i].finalize(budget)
-				}
-			}
-			return cellsOf(reports, errs), cerr, true
+			return set.retireAll(cerr, budget), cerr, true
 		}
 		win, rerr := r.Next()
 		if rerr == io.EOF {
@@ -443,32 +370,9 @@ func resumeK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget int
 			store.Remove(key)
 			return nil, nil, false
 		}
-		detail := windowDetail(sc, win.StartReal, budget)
-		forks := live
-		for i := range cfgs {
-			if errs[i] != nil {
-				continue
-			}
-			cw := win
-			if forks--; forks > 0 {
-				cw = &ckpt.Window{
-					StartReal: win.StartReal,
-					LastHint:  win.LastHint,
-					Ckpt:      win.Ckpt,
-					Mem:       win.Mem.Clone(),
-					Bp:        win.Bp.Clone(),
-				}
-			}
-			winStats, werr := runWindow(ctx, cfgs[i], p, cw, detail, sc)
-			reports[i].Windows = append(reports[i].Windows, Window{StartSeq: win.Ckpt.Seq(), Stats: winStats})
-			if werr != nil {
-				errs[i] = werr
-				reports[i].finalize(budget)
-				live--
-			}
-		}
-		if live == 0 {
-			return cellsOf(reports, errs), nil, true
+		set.measure(ctx, p, win, windowDetail(sc, win.StartReal, budget), sc, budget)
+		if set.live == 0 {
+			return set.cells, nil, true
 		}
 	}
 	tr, got := r.Trailer()
@@ -476,12 +380,10 @@ func resumeK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget int
 		store.Remove(key)
 		return nil, nil, false
 	}
-	for i := range reports {
-		if errs[i] == nil {
-			reports[i].WarmedReal = tr.WarmedReal
-			reports[i].FastForwardReal = tr.FastForwardReal
-			reports[i].finalize(tr.TotalReal)
-		}
-	}
-	return cellsOf(reports, errs), nil, true
+	set.forLive(func(rep *Report) {
+		rep.WarmedReal = tr.WarmedReal
+		rep.FastForwardReal = tr.FastForwardReal
+		rep.finalize(tr.TotalReal)
+	})
+	return set.cells, nil, true
 }

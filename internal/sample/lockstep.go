@@ -67,8 +67,12 @@ func RunLockstepStored(ctx context.Context, cfgs []sim.Config, p *prog.Program, 
 	if store == nil || key == "" {
 		return generateK(ctx, cfgs, p, budget, sc, nil, "")
 	}
-	if cells, err, ok := resumeK(ctx, cfgs, p, budget, sc, store, key); ok {
-		return cells, err
+	// Probe without opening first, so a generate counts one store miss
+	// (the probe under the lock below), not two.
+	if store.Has(key) {
+		if cells, err, ok := resumeK(ctx, cfgs, p, budget, sc, store, key); ok {
+			return cells, err
+		}
 	}
 	// Miss. Serialize in-process generation per key: the winner
 	// generates, everyone who blocked here resumes from the published
@@ -81,13 +85,77 @@ func RunLockstepStored(ctx context.Context, cfgs []sim.Config, p *prog.Program, 
 	return generateK(ctx, cfgs, p, budget, sc, store, key)
 }
 
-// cellsOf zips reports and errors into the caller-facing form.
-func cellsOf(reports []*Report, errs []error) []Cell {
-	cells := make([]Cell, len(reports))
-	for i := range reports {
-		cells[i] = Cell{Report: reports[i], Err: errs[i]}
+// cellSet is the per-cell state of a lockstep run: each
+// configuration's outcome so far, and how many cells still measure.
+type cellSet struct {
+	cfgs  []sim.Config
+	cells []Cell
+	live  int
+}
+
+func newCellSet(cfgs []sim.Config, sc Config) *cellSet {
+	s := &cellSet{cfgs: cfgs, cells: make([]Cell, len(cfgs)), live: len(cfgs)}
+	for i := range s.cells {
+		s.cells[i].Report = &Report{Confidence: sc.Confidence}
 	}
-	return cells
+	return s
+}
+
+// retire ends cell i with err: its report ends at stream position at,
+// and the rest of the grid keeps measuring.
+func (s *cellSet) retire(i int, err error, at int64) {
+	s.cells[i].Err = err
+	s.cells[i].Report.finalize(at)
+	s.live--
+}
+
+// retireAll retires every live cell with err and returns the cells.
+func (s *cellSet) retireAll(err error, at int64) []Cell {
+	for i := range s.cells {
+		if s.cells[i].Err == nil {
+			s.retire(i, err, at)
+		}
+	}
+	return s.cells
+}
+
+// forLive calls f with every live cell's report.
+func (s *cellSet) forLive(f func(*Report)) {
+	for i := range s.cells {
+		if s.cells[i].Err == nil {
+			f(s.cells[i].Report)
+		}
+	}
+}
+
+// measure runs one detailed window on every live cell, each on its own
+// fork of the window's warm state. The last live cell consumes win
+// itself, which makes K=1 byte-for-byte the single-run path. A cell
+// whose window fails retires at stream position at. Generate and
+// resume both fan out through here.
+func (s *cellSet) measure(ctx context.Context, p *prog.Program, win *ckpt.Window, detail int64, sc Config, at int64) {
+	forks := s.live
+	for i := range s.cells {
+		c := &s.cells[i]
+		if c.Err != nil {
+			continue
+		}
+		cw := win
+		if forks--; forks > 0 {
+			cw = &ckpt.Window{
+				StartReal: win.StartReal,
+				LastHint:  win.LastHint,
+				Ckpt:      win.Ckpt,
+				Mem:       win.Mem.Clone(),
+				Bp:        win.Bp.Clone(),
+			}
+		}
+		st, err := runWindow(ctx, s.cfgs[i], p, cw, detail, sc)
+		c.Report.Windows = append(c.Report.Windows, Window{StartSeq: win.Ckpt.Seq(), Stats: st})
+		if err != nil {
+			s.retire(i, err, at)
+		}
+	}
 }
 
 // oneCell converts a K=1 lockstep result to the single-run signature:

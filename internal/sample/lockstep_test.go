@@ -118,6 +118,33 @@ func TestLockstepEngineDifferential(t *testing.T) {
 	}
 }
 
+// TestLockstepColdStoreCountsOneMiss: a generate is one store miss, as
+// ckpt.Metrics documents, even though the run probes the store both
+// before and after taking the key's generation lock; a warm rerun is
+// one hit and no further miss.
+func TestLockstepColdStoreCountsOneMiss(t *testing.T) {
+	ctx := context.Background()
+	b := buildGzip(t)
+	store, err := ckpt.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "cafecafecafecafecafecafecafecafe"
+	cfgs := iqConfigs()[:2]
+	if _, err := sample.RunLockstepStored(ctx, cfgs, b.Build(42), testBudget, testRegime(), store, key); err != nil {
+		t.Fatal(err)
+	}
+	if m := store.Metrics(); m.Misses != 1 || m.Generated != 1 || m.Hits != 0 {
+		t.Errorf("cold run: misses/generated/hits = %d/%d/%d, want 1/1/0", m.Misses, m.Generated, m.Hits)
+	}
+	if _, err := sample.RunLockstepStored(ctx, cfgs, b.Build(42), testBudget, testRegime(), store, key); err != nil {
+		t.Fatal(err)
+	}
+	if m := store.Metrics(); m.Misses != 1 || m.Generated != 1 || m.Hits != 1 {
+		t.Errorf("warm rerun: misses/generated/hits = %d/%d/%d, want 1/1/1", m.Misses, m.Generated, m.Hits)
+	}
+}
+
 // TestLockstepWarmingIdentityGuard: cells whose warm state would differ
 // (cache or predictor geometry) must be refused, not silently shared.
 func TestLockstepWarmingIdentityGuard(t *testing.T) {

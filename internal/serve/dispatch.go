@@ -15,8 +15,9 @@ import (
 )
 
 // dispatcher is the server side of the remote worker pool. It sits
-// behind the campaign engines as their campaign.Runner: every
-// cache-missed, dedup-missed job lands in RunJob, which either offers
+// behind the campaign engines as their campaign.Runner (a tenantRunner
+// per campaign): every cache-missed, dedup-missed job lands in
+// runJobWith, which either offers
 // it to the lease queue (workers connected) or runs it in-process on
 // the shared gate. Workers pull jobs with long-poll leases, heartbeat
 // while they run, and upload results; a lease that misses its TTL is
@@ -30,7 +31,6 @@ type dispatcher struct {
 	retries   int           // re-lease attempts after a failed lease
 	gate      campaign.Gate // shared simulation gate (local executions)
 	met       *metrics
-	ckpt      *ckpt.Store // shared checkpoint artifact store (may be nil)
 	// nonce is a per-boot random tag baked into every worker and lease
 	// ID. Without it a restarted coordinator reissues the same IDs from
 	// zero ("w0001", "l000001"), and a zombie worker's late upload —
@@ -82,7 +82,7 @@ const (
 )
 
 // task is one job offered to the fleet. Its owner (the engine worker
-// goroutine blocked in RunJob) waits on outcome; the dispatcher's state
+// goroutine blocked in runJobWith) waits on outcome; the dispatcher's state
 // machine guarantees exactly one delivery.
 type task struct {
 	job     *campaign.Job
@@ -116,7 +116,7 @@ type lease struct {
 	granted  time.Time
 }
 
-func newDispatcher(cfg Config, gate campaign.Gate, met *metrics, store *ckpt.Store) *dispatcher {
+func newDispatcher(cfg Config, gate campaign.Gate, met *metrics) *dispatcher {
 	ttl := cfg.LeaseTTL
 	if ttl <= 0 {
 		ttl = defaultLeaseTTL
@@ -149,7 +149,6 @@ func newDispatcher(cfg Config, gate campaign.Gate, met *metrics, store *ckpt.Sto
 		retries:     retries,
 		gate:        gate,
 		met:         met,
-		ckpt:        store,
 		nonce:       hex.EncodeToString(nb[:]),
 		workers:     make(map[string]*workerState),
 		wake:        make(chan struct{}),
@@ -160,19 +159,13 @@ func newDispatcher(cfg Config, gate campaign.Gate, met *metrics, store *ckpt.Sto
 
 // --- campaign.Runner ---
 
-// RunJob routes one cache-missed job: to the fleet when live workers
-// are registered (falling back locally if the offer times out, the
-// campaign is cancelled, or remote attempts are exhausted), otherwise
-// straight to the in-process gate. Jobs run through the dispatcher
-// directly use the shared checkpoint store; tenant-scoped campaigns go
-// through a tenantRunner instead.
-func (d *dispatcher) RunJob(ctx context.Context, job *campaign.Job, key string, params power.Params) (campaign.Result, error) {
-	return d.runJobWith(ctx, job, key, params, d.ckpt)
-}
-
-// runJobWith is RunJob with an explicit checkpoint store: the one the
-// owning campaign's tenant reads warm state from and publishes it to,
-// locally and (via the granted-keys map) across the fleet.
+// runJobWith routes one cache-missed job: to the fleet when live
+// workers are registered (falling back locally if the offer times out,
+// the campaign is cancelled, or remote attempts are exhausted),
+// otherwise straight to the in-process gate. store is the checkpoint
+// store the owning campaign's tenant reads warm state from and
+// publishes it to, locally and (via the granted-keys map) across the
+// fleet.
 func (d *dispatcher) runJobWith(ctx context.Context, job *campaign.Job, key string, params power.Params, store *ckpt.Store) (campaign.Result, error) {
 	if key != "" && d.hasWorkers() {
 		res, err, done := d.runRemote(ctx, job, key, params, store)

@@ -234,7 +234,7 @@ func New(cfg Config) *Server {
 	if s.rcache, err = campaign.OpenCache(cfg.CacheDir); err != nil {
 		log.Printf("sdiqd: result cache GC disabled: %v", err)
 	}
-	s.disp = newDispatcher(cfg, s.gate, &s.met, s.ckpt)
+	s.disp = newDispatcher(cfg, s.gate, &s.met)
 	s.recover()
 	s.startJanitor()
 	return s
