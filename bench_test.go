@@ -1,12 +1,11 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (see DESIGN.md section 4 for the index), plus ablation
-// benches for the design choices and microbenchmarks of the substrate.
+// evaluation, plus ablation benches for the design choices and
+// microbenchmarks of the substrate.
 //
 // Figure benches run a reduced-budget version of the corresponding
 // experiment and report the headline quantities as custom metrics (the
-// paper's values appear in the metric names' documentation in
-// EXPERIMENTS.md); regenerate the full-budget numbers with
-// `go run ./cmd/sdiq -experiment all`.
+// paper's values appear in comments beside each metric); regenerate the
+// full-budget numbers with `go run ./cmd/sdiq -experiment all`.
 package repro
 
 import (
@@ -39,14 +38,19 @@ func mustEmu(b *testing.B, p *prog.Program) *emu.Emulator {
 // ~50k instructions per run.
 const benchBudget = 50_000
 
-func runSuite(b *testing.B, techs []exp.Technique) *exp.SuiteResults {
+// runSuite simulates the paper's grid under a subset of the techniques
+// and returns the figure view over it. The view is built directly rather
+// than through exp.FromCampaign, which requires all five techniques:
+// each bench simulates only the techniques its figure reads.
+func runSuite(b *testing.B, techs ...campaign.Technique) *exp.SuiteResults {
 	b.Helper()
-	r := exp.NewRunner(benchBudget)
-	s, err := r.RunSuite(techs)
+	spec := campaign.DefaultSpec(benchBudget)
+	spec.Techniques = techs
+	rs, err := (&campaign.Engine{}).Run(context.Background(), spec)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return s
+	return &exp.SuiteResults{Benchmarks: rs.Benchmarks(), Campaign: rs}
 }
 
 // BenchmarkTable1Config exercises configuration construction and
@@ -77,9 +81,9 @@ func BenchmarkTable2CompileTime(b *testing.B) {
 func BenchmarkFigure6IPCLoss(b *testing.B) {
 	var noop, abella float64
 	for i := 0; i < b.N; i++ {
-		s := runSuite(b, []exp.Technique{exp.TechBaseline, exp.TechNOOP, exp.TechAbella})
-		noop = s.Mean(func(bn string) float64 { return s.IPCLossPct(bn, exp.TechNOOP) })
-		abella = s.Mean(func(bn string) float64 { return s.IPCLossPct(bn, exp.TechAbella) })
+		s := runSuite(b, campaign.TechBaseline, campaign.TechNOOP, campaign.TechAbella)
+		noop = s.Mean(func(bn string) float64 { return s.IPCLossPct(bn, campaign.TechNOOP) })
+		abella = s.Mean(func(bn string) float64 { return s.IPCLossPct(bn, campaign.TechAbella) })
 	}
 	b.ReportMetric(noop, "NOOPloss%")     // paper: 2.2
 	b.ReportMetric(abella, "abellaloss%") // paper: 3.1
@@ -90,9 +94,9 @@ func BenchmarkFigure6IPCLoss(b *testing.B) {
 func BenchmarkFigure7Occupancy(b *testing.B) {
 	var occ, banksOff float64
 	for i := 0; i < b.N; i++ {
-		s := runSuite(b, []exp.Technique{exp.TechBaseline, exp.TechNOOP})
-		occ = s.Mean(func(bn string) float64 { return s.OccupancyReductionPct(bn, exp.TechNOOP) })
-		banksOff = s.Mean(func(bn string) float64 { return s.BanksOffPct(bn, exp.TechNOOP) })
+		s := runSuite(b, campaign.TechBaseline, campaign.TechNOOP)
+		occ = s.Mean(func(bn string) float64 { return s.OccupancyReductionPct(bn, campaign.TechNOOP) })
+		banksOff = s.Mean(func(bn string) float64 { return s.BanksOffPct(bn, campaign.TechNOOP) })
 	}
 	b.ReportMetric(occ, "occRed%")        // paper: 23
 	b.ReportMetric(banksOff, "banksOff%") // paper: 37
@@ -103,11 +107,11 @@ func BenchmarkFigure7Occupancy(b *testing.B) {
 func BenchmarkFigure8IQPower(b *testing.B) {
 	var dyn, stat, nonEmpty, abella float64
 	for i := 0; i < b.N; i++ {
-		s := runSuite(b, []exp.Technique{exp.TechBaseline, exp.TechNOOP, exp.TechAbella})
-		dyn = s.Mean(func(bn string) float64 { return s.Savings(bn, exp.TechNOOP).IQDynamicPct })
-		stat = s.Mean(func(bn string) float64 { return s.Savings(bn, exp.TechNOOP).IQStaticPct })
+		s := runSuite(b, campaign.TechBaseline, campaign.TechNOOP, campaign.TechAbella)
+		dyn = s.Mean(func(bn string) float64 { return s.Savings(bn, campaign.TechNOOP).IQDynamicPct })
+		stat = s.Mean(func(bn string) float64 { return s.Savings(bn, campaign.TechNOOP).IQStaticPct })
 		nonEmpty = s.Mean(s.NonEmptyPct)
-		abella = s.Mean(func(bn string) float64 { return s.Savings(bn, exp.TechAbella).IQDynamicPct })
+		abella = s.Mean(func(bn string) float64 { return s.Savings(bn, campaign.TechAbella).IQDynamicPct })
 	}
 	b.ReportMetric(dyn, "dyn%")           // paper: 47
 	b.ReportMetric(stat, "static%")       // paper: 31
@@ -120,9 +124,9 @@ func BenchmarkFigure8IQPower(b *testing.B) {
 func BenchmarkFigure9RegfilePower(b *testing.B) {
 	var dyn, stat float64
 	for i := 0; i < b.N; i++ {
-		s := runSuite(b, []exp.Technique{exp.TechBaseline, exp.TechNOOP})
-		dyn = s.Mean(func(bn string) float64 { return s.Savings(bn, exp.TechNOOP).RFDynamicPct })
-		stat = s.Mean(func(bn string) float64 { return s.Savings(bn, exp.TechNOOP).RFStaticPct })
+		s := runSuite(b, campaign.TechBaseline, campaign.TechNOOP)
+		dyn = s.Mean(func(bn string) float64 { return s.Savings(bn, campaign.TechNOOP).RFDynamicPct })
+		stat = s.Mean(func(bn string) float64 { return s.Savings(bn, campaign.TechNOOP).RFStaticPct })
 	}
 	b.ReportMetric(dyn, "dyn%")     // paper: 22
 	b.ReportMetric(stat, "static%") // paper: 21
@@ -133,9 +137,9 @@ func BenchmarkFigure9RegfilePower(b *testing.B) {
 func BenchmarkFigure10Extensions(b *testing.B) {
 	var ext, imp float64
 	for i := 0; i < b.N; i++ {
-		s := runSuite(b, []exp.Technique{exp.TechBaseline, exp.TechExtension, exp.TechImproved})
-		ext = s.Mean(func(bn string) float64 { return s.IPCLossPct(bn, exp.TechExtension) })
-		imp = s.Mean(func(bn string) float64 { return s.IPCLossPct(bn, exp.TechImproved) })
+		s := runSuite(b, campaign.TechBaseline, campaign.TechExtension, campaign.TechImproved)
+		ext = s.Mean(func(bn string) float64 { return s.IPCLossPct(bn, campaign.TechExtension) })
+		imp = s.Mean(func(bn string) float64 { return s.IPCLossPct(bn, campaign.TechImproved) })
 	}
 	b.ReportMetric(ext, "extLoss%") // paper: 1.7
 	b.ReportMetric(imp, "impLoss%") // paper: <1.3
@@ -146,10 +150,10 @@ func BenchmarkFigure10Extensions(b *testing.B) {
 func BenchmarkFigure11ExtIQPower(b *testing.B) {
 	var dyn, stat, overall float64
 	for i := 0; i < b.N; i++ {
-		s := runSuite(b, []exp.Technique{exp.TechBaseline, exp.TechExtension, exp.TechImproved})
-		dyn = s.Mean(func(bn string) float64 { return s.Savings(bn, exp.TechExtension).IQDynamicPct })
-		stat = s.Mean(func(bn string) float64 { return s.Savings(bn, exp.TechExtension).IQStaticPct })
-		overall = s.Mean(func(bn string) float64 { return s.Savings(bn, exp.TechImproved).OverallDynamicPct })
+		s := runSuite(b, campaign.TechBaseline, campaign.TechExtension, campaign.TechImproved)
+		dyn = s.Mean(func(bn string) float64 { return s.Savings(bn, campaign.TechExtension).IQDynamicPct })
+		stat = s.Mean(func(bn string) float64 { return s.Savings(bn, campaign.TechExtension).IQStaticPct })
+		overall = s.Mean(func(bn string) float64 { return s.Savings(bn, campaign.TechImproved).OverallDynamicPct })
 	}
 	b.ReportMetric(dyn, "dyn%")         // paper: 45
 	b.ReportMetric(stat, "static%")     // paper: 30
@@ -161,28 +165,33 @@ func BenchmarkFigure11ExtIQPower(b *testing.B) {
 func BenchmarkFigure12ExtRegfile(b *testing.B) {
 	var dyn, stat float64
 	for i := 0; i < b.N; i++ {
-		s := runSuite(b, []exp.Technique{exp.TechBaseline, exp.TechExtension})
-		dyn = s.Mean(func(bn string) float64 { return s.Savings(bn, exp.TechExtension).RFDynamicPct })
-		stat = s.Mean(func(bn string) float64 { return s.Savings(bn, exp.TechExtension).RFStaticPct })
+		s := runSuite(b, campaign.TechBaseline, campaign.TechExtension)
+		dyn = s.Mean(func(bn string) float64 { return s.Savings(bn, campaign.TechExtension).RFDynamicPct })
+		stat = s.Mean(func(bn string) float64 { return s.Savings(bn, campaign.TechExtension).RFStaticPct })
 	}
 	b.ReportMetric(dyn, "dyn%")     // paper: 21
 	b.ReportMetric(stat, "static%") // paper: 21
 }
 
-// --- ablations (design choices called out in DESIGN.md) ---
+// --- ablations (design choices of the technique and its model) ---
 
 // BenchmarkAblationHintMode compares NOOP insertion against tagging on
 // the call-dense benchmark most sensitive to dispatch slots.
 func BenchmarkAblationHintMode(b *testing.B) {
-	r := exp.NewRunner(benchBudget)
-	bench, _ := workload.ByName("perlbmk")
+	spec := campaign.DefaultSpec(benchBudget)
+	spec.Benchmarks = []string{"perlbmk"}
+	spec.Techniques = []campaign.Technique{campaign.TechNOOP, campaign.TechExtension}
+	jobs, err := spec.Jobs()
+	if err != nil {
+		b.Fatal(err)
+	}
 	var noopIPC, tagIPC float64
 	for i := 0; i < b.N; i++ {
-		rn, err := r.Run(bench, exp.TechNOOP)
+		rn, err := campaign.Execute(context.Background(), &jobs[0])
 		if err != nil {
 			b.Fatal(err)
 		}
-		rt, err := r.Run(bench, exp.TechExtension)
+		rt, err := campaign.Execute(context.Background(), &jobs[1])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -238,8 +247,7 @@ func BenchmarkAblationBankSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDispatchSlack sweeps the hint slack (EXPERIMENTS.md
-// D4): zero slack maximises occupancy savings but bounces dispatch at
+// BenchmarkAblationDispatchSlack sweeps the hint slack: zero slack maximises occupancy savings but bounces dispatch at
 // region boundaries; a full dispatch group erases losses and savings
 // alike.
 func BenchmarkAblationDispatchSlack(b *testing.B) {

@@ -113,37 +113,41 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	r := exp.NewRunner(*budget)
-	r.Seed = *seed
-	r.Parallel = *parallel
-	r.CacheDir = *cacheDir
-	r.CkptDir = *ckptDir
+	spec := campaign.DefaultSpec(*budget)
+	spec.Techniques = campaign.AllTechniques()
+	spec.Seed = *seed
 	// An explicitly requested store that cannot open is an error here,
-	// not the engine's silent warm-from-scratch degradation: the user
-	// asked for shared warming and should learn they aren't getting it.
-	if *ckptDir != "" {
-		if _, err := ckpt.Open(*ckptDir); err != nil {
-			fail(fmt.Errorf("-ckpt %s: %w", *ckptDir, err))
-		}
-	}
-	r.Remote = *remote
-	r.RemoteToken = *token
-	if *remote != "" {
-		r.OnRemoteEvent = func(ev serve.Event) {
-			if ev.Type == serve.EventSubmitted {
-				fmt.Fprintf(os.Stderr, "sdiq: remote campaign %s on %s\n", ev.Campaign, *remote)
-			}
-		}
+	// not a silent warm-from-scratch degradation: the user asked for
+	// shared warming and should learn they aren't getting it.
+	store, err := ckpt.Open(*ckptDir)
+	if err != nil {
+		fail(fmt.Errorf("-ckpt %s: %w", *ckptDir, err))
 	}
 	sampling, err := campaign.ParseSampling(*sampleFlag)
 	if err != nil {
 		fail(err)
 	}
-	r.Sampling = sampling
-	r.Lockstep = *lockstep
+	spec.Sampling = sampling
+
+	// run executes a campaign on the local engine or, with -remote, on a
+	// campaign service: every experiment and sweep goes through it.
+	run := func(spec campaign.Spec) (*campaign.ResultSet, error) {
+		if *remote == "" {
+			eng := &campaign.Engine{Workers: *parallel, CacheDir: *cacheDir, Ckpt: store, Lockstep: *lockstep}
+			return eng.Run(ctx, spec)
+		}
+		cl := serve.NewClient(*remote)
+		cl.Token = *token
+		cl.OnEvent = func(ev serve.Event) {
+			if ev.Type == serve.EventSubmitted {
+				fmt.Fprintf(os.Stderr, "sdiq: remote campaign %s on %s\n", ev.Campaign, *remote)
+			}
+		}
+		return cl.Run(ctx, spec)
+	}
 
 	if *dumpConfig {
-		if err := exp.WriteConfig(os.Stdout, r.Config); err != nil {
+		if err := exp.WriteConfig(os.Stdout, spec.Base); err != nil {
 			fail(err)
 		}
 		return
@@ -158,7 +162,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		r.Config = cfg
+		spec.Base = cfg
 	}
 	csv := false
 	switch *format {
@@ -178,7 +182,7 @@ func main() {
 	// Experiments that need no simulation runs.
 	switch name {
 	case "table1":
-		fmt.Print(exp.Table1(r.Config))
+		fmt.Print(exp.Table1(spec.Base))
 		return
 	case "table2":
 		fmt.Print(exp.Table2(*seed))
@@ -203,10 +207,10 @@ func main() {
 	}
 	if name == "sweep" {
 		if rs == nil {
-			spec := r.Spec(exp.AllTechniques())
-			spec.Name = "sweep"
-			spec.Axes = axes
-			rs, err = r.RunCampaign(ctx, spec)
+			sweep := spec
+			sweep.Name = "sweep"
+			sweep.Axes = axes
+			rs, err = run(sweep)
 			if err != nil {
 				fail(err)
 			}
@@ -222,12 +226,13 @@ func main() {
 		return
 	}
 
-	var s *exp.SuiteResults
-	if rs != nil {
-		s, err = exp.FromCampaign(rs)
-	} else {
-		s, err = r.RunSuiteContext(ctx, exp.AllTechniques())
+	if rs == nil {
+		rs, err = run(spec)
+		if err != nil {
+			fail(err)
+		}
 	}
+	s, err := exp.FromCampaign(rs)
 	if err != nil {
 		fail(err)
 	}
@@ -247,7 +252,7 @@ func main() {
 				fmt.Print("\n", exp.SamplingReportCSV(s))
 			}
 		} else {
-			fmt.Print(exp.AllFigures(s, r.Config, *seed))
+			fmt.Print(exp.AllFigures(s, spec.Base, *seed))
 			if s.Sampled() {
 				fmt.Print("\n", exp.SamplingReport(s))
 			}
@@ -275,16 +280,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sdiq: unknown experiment %q\n", *experiment)
 		os.Exit(2)
 	}
-	export(*exportPath, s.Campaign)
+	export(*exportPath, rs)
 }
 
 // export writes the campaign to path, as JSON or CSV by extension.
 func export(path string, rs *campaign.ResultSet) {
 	if path == "" {
 		return
-	}
-	if rs == nil {
-		fail(fmt.Errorf("nothing to export"))
 	}
 	f, err := os.Create(path)
 	if err != nil {

@@ -10,12 +10,16 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/campaign"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files from the current binary")
@@ -44,13 +48,21 @@ func TestMain(m *testing.M) {
 // non-zero exit.
 func runSdiq(t *testing.T, args ...string) []byte {
 	t.Helper()
-	var stdout, stderr bytes.Buffer
-	cmd := exec.Command(sdiqBin, args...)
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("sdiq %v: %v\nstderr:\n%s", args, err, stderr.String())
+	stdout, stderr, err := execSdiq(args...)
+	if err != nil {
+		t.Fatalf("sdiq %v: %v\nstderr:\n%s", args, err, stderr)
 	}
-	return stdout.Bytes()
+	return stdout
+}
+
+// execSdiq executes the binary and returns its stdout, stderr and exit
+// error.
+func execSdiq(args ...string) (stdout, stderr []byte, err error) {
+	var out, errOut bytes.Buffer
+	cmd := exec.Command(sdiqBin, args...)
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err = cmd.Run()
+	return out.Bytes(), errOut.Bytes(), err
 }
 
 // checkGolden compares got against testdata/name, rewriting it under
@@ -107,5 +119,49 @@ func TestGoldenDeterminism(t *testing.T) {
 	b := runSdiq(t, "-experiment", "fig8", "-format", "csv", "-budget", "20000", "-parallel", "8")
 	if !bytes.Equal(a, b) {
 		t.Errorf("fig8 CSV differs across worker counts:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestLoadRendersExport: a campaign exported as JSON and re-rendered
+// with -load must print the same figure as the run that simulated it,
+// with no simulation on the -load side.
+func TestLoadRendersExport(t *testing.T) {
+	saved := filepath.Join(t.TempDir(), "suite.json")
+	got := runSdiq(t, "-experiment", "fig8", "-format", "csv", "-budget", "20000", "-seed", "42",
+		"-export", saved)
+	checkGolden(t, "fig8_budget20k.csv", got)
+	loaded := runSdiq(t, "-load", saved, "-experiment", "fig8", "-format", "csv")
+	checkGolden(t, "fig8_budget20k.csv", loaded)
+}
+
+// TestLoadRejectsPartialGrid: an export that ran only some of the
+// paper's techniques must not render figures (they would show numbers
+// for cells that never ran); sdiq exits 1 naming the missing cell.
+func TestLoadRejectsPartialGrid(t *testing.T) {
+	spec := campaign.DefaultSpec(5000)
+	spec.Benchmarks = []string{"gzip"}
+	spec.Techniques = []campaign.Technique{campaign.TechBaseline, campaign.TechNOOP}
+	rs := &campaign.ResultSet{Spec: spec, Results: []campaign.Result{
+		{Bench: "gzip", Tech: campaign.TechBaseline},
+		{Bench: "gzip", Tech: campaign.TechNOOP},
+	}}
+	saved := filepath.Join(t.TempDir(), "partial.json")
+	f, err := os.Create(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.WriteJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, err := execSdiq("-load", saved, "-experiment", "fig6", "-format", "csv")
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("sdiq -load of a baseline+NOOP export: err = %v, want exit status 1\nstdout:\n%s", err, stdout)
+	}
+	if !strings.Contains(string(stderr), "no result for gzip under Extension") {
+		t.Errorf("stderr does not name the missing cell:\n%s", stderr)
 	}
 }

@@ -5,10 +5,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 
+	"repro/internal/campaign"
 	"repro/internal/exp"
 )
 
@@ -16,9 +18,12 @@ func main() {
 	budget := flag.Int64("budget", 150_000, "committed instructions per run")
 	flag.Parse()
 
-	r := exp.NewRunner(*budget)
 	fmt.Printf("running 11 benchmarks x 5 techniques at %d instructions each...\n\n", *budget)
-	s, err := r.RunSuite(exp.AllTechniques())
+	rs, err := (&campaign.Engine{}).Run(context.Background(), campaign.DefaultSpec(*budget))
+	if err != nil {
+		log.Fatal(err)
+	}
+	s, err := exp.FromCampaign(rs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,23 +1,31 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// suite runs the full evaluation once per test binary at a reduced budget
-// and shares it across tests (the shape assertions all read it).
+// getSuite runs the paper's grid once per test binary at a reduced
+// budget and shares it across tests (the shape assertions all read it).
 var sharedSuite *SuiteResults
+
+const suiteBudget = 120_000
 
 func getSuite(t *testing.T) *SuiteResults {
 	t.Helper()
 	if sharedSuite != nil {
 		return sharedSuite
 	}
-	r := NewRunner(120_000)
-	s, err := r.RunSuite(AllTechniques())
+	rs, err := (&campaign.Engine{}).Run(context.Background(), campaign.DefaultSpec(suiteBudget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := FromCampaign(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,14 +33,16 @@ func getSuite(t *testing.T) *SuiteResults {
 	return s
 }
 
+// TestRunSingleBenchmark checks one cell of the shared suite end to end:
+// gzip under NOOP commits the budget, and its hints are both inserted by
+// the compiler pass and applied by the core.
 func TestRunSingleBenchmark(t *testing.T) {
-	r := NewRunner(20_000)
-	b, _ := workload.ByName("gzip")
-	res, err := r.Run(b, TechNOOP)
-	if err != nil {
-		t.Fatal(err)
+	s := getSuite(t)
+	res, ok := s.Campaign.Get("gzip", campaign.TechNOOP, nil)
+	if !ok {
+		t.Fatal("suite has no gzip/NOOP cell")
 	}
-	if res.Stats.CommittedReal != 20_000 {
+	if res.Stats.CommittedReal != suiteBudget {
 		t.Errorf("committed = %d, want budget", res.Stats.CommittedReal)
 	}
 	if res.Hints == 0 {
@@ -43,35 +53,17 @@ func TestRunSingleBenchmark(t *testing.T) {
 	}
 }
 
-func TestTechniqueNames(t *testing.T) {
-	want := map[Technique]string{
-		TechBaseline:  "baseline",
-		TechNOOP:      "NOOP",
-		TechExtension: "Extension",
-		TechImproved:  "Improved",
-		TechAbella:    "abella",
-	}
-	for tech, name := range want {
-		if tech.String() != name {
-			t.Errorf("technique %d = %q, want %q", int(tech), tech.String(), name)
-		}
-	}
-	if len(AllTechniques()) != int(numTechniques) {
-		t.Errorf("AllTechniques incomplete")
-	}
-}
-
 // TestPaperShapeIPCLoss asserts the paper's figure 6/10 orderings: the
 // compiler techniques lose less than the hardware-adaptive abella, the
 // tag-based Extension loses no more than NOOP insertion, and Improved
 // loses no more than Extension. Absolute values are substrate-dependent
-// and not asserted (see EXPERIMENTS.md).
+// and not asserted (see the README's fidelity notes).
 func TestPaperShapeIPCLoss(t *testing.T) {
 	s := getSuite(t)
-	loss := func(tech Technique) float64 {
+	loss := func(tech campaign.Technique) float64 {
 		return s.Mean(func(b string) float64 { return s.IPCLossPct(b, tech) })
 	}
-	noop, ext, imp, abella := loss(TechNOOP), loss(TechExtension), loss(TechImproved), loss(TechAbella)
+	noop, ext, imp, abella := loss(campaign.TechNOOP), loss(campaign.TechExtension), loss(campaign.TechImproved), loss(campaign.TechAbella)
 	t.Logf("IPC loss: NOOP=%.2f Extension=%.2f Improved=%.2f abella=%.2f", noop, ext, imp, abella)
 	if noop >= abella {
 		t.Errorf("NOOP loss %.2f must be below abella %.2f (paper fig 6)", noop, abella)
@@ -93,12 +85,12 @@ func TestPaperShapeIPCLoss(t *testing.T) {
 // smaller than IQ savings.
 func TestPaperShapePowerSavings(t *testing.T) {
 	s := getSuite(t)
-	dyn := s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).IQDynamicPct })
-	stat := s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).IQStaticPct })
-	abellaDyn := s.Mean(func(b string) float64 { return s.Savings(b, TechAbella).IQDynamicPct })
+	dyn := s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).IQDynamicPct })
+	stat := s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).IQStaticPct })
+	abellaDyn := s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechAbella).IQDynamicPct })
 	nonEmpty := s.Mean(s.NonEmptyPct)
-	rfDyn := s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).RFDynamicPct })
-	rfStat := s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).RFStaticPct })
+	rfDyn := s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).RFDynamicPct })
+	rfStat := s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).RFStaticPct })
 	t.Logf("IQ dyn=%.1f stat=%.1f nonEmpty=%.1f abellaDyn=%.1f RF dyn=%.1f stat=%.1f",
 		dyn, stat, nonEmpty, abellaDyn, rfDyn, rfStat)
 	if dyn <= nonEmpty {
@@ -127,7 +119,7 @@ func TestPaperShapePowerSavings(t *testing.T) {
 // Extension; occupancy reduction is substantial on average.
 func TestPaperShapePerBenchmark(t *testing.T) {
 	s := getSuite(t)
-	if l := s.IPCLossPct("mcf", TechNOOP); l > 0.5 {
+	if l := s.IPCLossPct("mcf", campaign.TechNOOP); l > 0.5 {
 		t.Errorf("mcf NOOP loss %.2f, want ~0 (memory-bound)", l)
 	}
 	// Among the benchmarks the NOOP technique hurts, at least one must be
@@ -138,12 +130,12 @@ func TestPaperShapePerBenchmark(t *testing.T) {
 	rescued := false
 	var hurt []string
 	for _, b := range s.Benchmarks {
-		noopLoss := s.IPCLossPct(b, TechNOOP)
+		noopLoss := s.IPCLossPct(b, campaign.TechNOOP)
 		if noopLoss < 1.0 {
 			continue
 		}
 		hurt = append(hurt, b)
-		extLoss := s.IPCLossPct(b, TechExtension)
+		extLoss := s.IPCLossPct(b, campaign.TechExtension)
 		t.Logf("%s: NOOP %.2f%% -> Extension %.2f%%", b, noopLoss, extLoss)
 		if extLoss < noopLoss*0.4 {
 			rescued = true
@@ -152,11 +144,11 @@ func TestPaperShapePerBenchmark(t *testing.T) {
 	if len(hurt) > 0 && !rescued {
 		t.Errorf("no NOOP-hurt benchmark (%v) was rescued by Extension", hurt)
 	}
-	occ := s.Mean(func(b string) float64 { return s.OccupancyReductionPct(b, TechNOOP) })
+	occ := s.Mean(func(b string) float64 { return s.OccupancyReductionPct(b, campaign.TechNOOP) })
 	if occ < 8 {
 		t.Errorf("mean occupancy reduction %.1f%% too small (paper 23%%)", occ)
 	}
-	if mcfOcc := s.OccupancyReductionPct("mcf", TechNOOP); mcfOcc < 40 {
+	if mcfOcc := s.OccupancyReductionPct("mcf", campaign.TechNOOP); mcfOcc < 40 {
 		t.Errorf("mcf occupancy reduction %.1f%%, want large (serial chain)", mcfOcc)
 	}
 }
@@ -195,8 +187,7 @@ func TestFigureRenderings(t *testing.T) {
 }
 
 func TestTable1Rendering(t *testing.T) {
-	r := NewRunner(0)
-	text := Table1(r.Config)
+	text := Table1(sim.DefaultConfig())
 	for _, want := range []string{"80 entries", "128 entries", "112 entries",
 		"Hybrid 2K gshare", "64KB", "512KB", "6 ALU (1 cycle), 3 Mul (3 cycles)"} {
 		if !strings.Contains(text, want) {

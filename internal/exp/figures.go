@@ -5,13 +5,14 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 // PaperValues records the paper's reported averages for side-by-side
-// comparison in the rendered output and in EXPERIMENTS.md.
+// comparison in the rendered output.
 var PaperValues = struct {
 	NOOPIPCLoss, AbellaIPCLoss                 float64
 	ExtensionIPCLoss, ImprovedIPCLoss          float64
@@ -94,11 +95,11 @@ func figure6Table(s *SuiteResults) *table {
 	t := newTable("Figure 6: normalised IPC loss, NOOP technique (%)",
 		"Benchmark", "NOOP", "abella")
 	for _, b := range s.Benchmarks {
-		t.addRow(b, f2(s.IPCLossPct(b, TechNOOP)), f2(s.IPCLossPct(b, TechAbella)))
+		t.addRow(b, f2(s.IPCLossPct(b, campaign.TechNOOP)), f2(s.IPCLossPct(b, campaign.TechAbella)))
 	}
 	t.addRow("SPECINT",
-		f2(s.Mean(func(b string) float64 { return s.IPCLossPct(b, TechNOOP) })),
-		f2(s.Mean(func(b string) float64 { return s.IPCLossPct(b, TechAbella) })))
+		f2(s.Mean(func(b string) float64 { return s.IPCLossPct(b, campaign.TechNOOP) })),
+		f2(s.Mean(func(b string) float64 { return s.IPCLossPct(b, campaign.TechAbella) })))
 	t.addNote("Paper SPECINT: NOOP %.1f%%, abella %.1f%%.", PaperValues.NOOPIPCLoss, PaperValues.AbellaIPCLoss)
 	return t
 }
@@ -109,13 +110,13 @@ func figure7Table(s *SuiteResults) *table {
 	t := newTable("Figure 7: normalised IQ occupancy reduction, NOOP technique (%)",
 		"Benchmark", "OccRed", "BanksOff", "abellaBanksOff")
 	for _, b := range s.Benchmarks {
-		t.addRow(b, f1(s.OccupancyReductionPct(b, TechNOOP)),
-			f1(s.BanksOffPct(b, TechNOOP)), f1(s.BanksOffPct(b, TechAbella)))
+		t.addRow(b, f1(s.OccupancyReductionPct(b, campaign.TechNOOP)),
+			f1(s.BanksOffPct(b, campaign.TechNOOP)), f1(s.BanksOffPct(b, campaign.TechAbella)))
 	}
 	t.addRow("SPECINT",
-		f1(s.Mean(func(b string) float64 { return s.OccupancyReductionPct(b, TechNOOP) })),
-		f1(s.Mean(func(b string) float64 { return s.BanksOffPct(b, TechNOOP) })),
-		f1(s.Mean(func(b string) float64 { return s.BanksOffPct(b, TechAbella) })))
+		f1(s.Mean(func(b string) float64 { return s.OccupancyReductionPct(b, campaign.TechNOOP) })),
+		f1(s.Mean(func(b string) float64 { return s.BanksOffPct(b, campaign.TechNOOP) })),
+		f1(s.Mean(func(b string) float64 { return s.BanksOffPct(b, campaign.TechAbella) })))
 	t.addNote("Paper: occupancy reduction %.0f%%, banks off %.0f%% (abella %.0f%%).",
 		PaperValues.OccupancyReduction, PaperValues.BanksOff, PaperValues.AbellaBanksOff)
 	return t
@@ -127,15 +128,15 @@ func figure8Table(s *SuiteResults) *table {
 	t := newTable("Figure 8: normalised IQ power savings, NOOP technique (%)",
 		"Benchmark", "Dynamic", "Static")
 	for _, b := range s.Benchmarks {
-		sv := s.Savings(b, TechNOOP)
+		sv := s.Savings(b, campaign.TechNOOP)
 		t.addRow(b, f1(sv.IQDynamicPct), f1(sv.IQStaticPct))
 	}
 	t.addRow("SPECINT",
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).IQDynamicPct })),
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).IQStaticPct })))
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).IQDynamicPct })),
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).IQStaticPct })))
 	t.addRow("abella",
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechAbella).IQDynamicPct })),
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechAbella).IQStaticPct })))
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechAbella).IQDynamicPct })),
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechAbella).IQStaticPct })))
 	t.addRow("nonEmpty", f1(s.Mean(s.NonEmptyPct)), "-")
 	t.addNote("Paper SPECINT: dynamic %.0f%%, static %.0f%%; abella %.0f%%/%.0f%%.",
 		PaperValues.NOOPIQDyn, PaperValues.NOOPIQStatic,
@@ -149,15 +150,15 @@ func figure9Table(s *SuiteResults) *table {
 	t := newTable("Figure 9: normalised int regfile power savings, NOOP technique (%)",
 		"Benchmark", "Dynamic", "Static")
 	for _, b := range s.Benchmarks {
-		sv := s.Savings(b, TechNOOP)
+		sv := s.Savings(b, campaign.TechNOOP)
 		t.addRow(b, f1(sv.RFDynamicPct), f1(sv.RFStaticPct))
 	}
 	t.addRow("SPECINT",
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).RFDynamicPct })),
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).RFStaticPct })))
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).RFDynamicPct })),
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).RFStaticPct })))
 	t.addRow("abella",
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechAbella).RFDynamicPct })),
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechAbella).RFStaticPct })))
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechAbella).RFDynamicPct })),
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechAbella).RFStaticPct })))
 	t.addNote("Paper SPECINT: dynamic %.0f%%, static %.0f%%; abella %.0f%%/%.0f%%.",
 		PaperValues.NOOPRFDyn, PaperValues.NOOPRFStatic,
 		PaperValues.AbellaRFDyn, PaperValues.AbellaRFStatic)
@@ -171,13 +172,13 @@ func figure10Table(s *SuiteResults) *table {
 		"Benchmark", "Extension", "Improved", "NOOP", "abella")
 	for _, b := range s.Benchmarks {
 		t.addRow(b,
-			f2(s.IPCLossPct(b, TechExtension)), f2(s.IPCLossPct(b, TechImproved)),
-			f2(s.IPCLossPct(b, TechNOOP)), f2(s.IPCLossPct(b, TechAbella)))
+			f2(s.IPCLossPct(b, campaign.TechExtension)), f2(s.IPCLossPct(b, campaign.TechImproved)),
+			f2(s.IPCLossPct(b, campaign.TechNOOP)), f2(s.IPCLossPct(b, campaign.TechAbella)))
 	}
-	mean := func(tech Technique) string {
+	mean := func(tech campaign.Technique) string {
 		return f2(s.Mean(func(b string) float64 { return s.IPCLossPct(b, tech) }))
 	}
-	t.addRow("SPECINT", mean(TechExtension), mean(TechImproved), mean(TechNOOP), mean(TechAbella))
+	t.addRow("SPECINT", mean(campaign.TechExtension), mean(campaign.TechImproved), mean(campaign.TechNOOP), mean(campaign.TechAbella))
 	t.addNote("Paper SPECINT: Extension %.1f%%, Improved <%.1f%%.",
 		PaperValues.ExtensionIPCLoss, PaperValues.ImprovedIPCLoss)
 	return t
@@ -189,16 +190,16 @@ func figure11Table(s *SuiteResults) *table {
 	t := newTable("Figure 11: normalised IQ power savings, Extension and Improved (%)",
 		"Benchmark", "ExtDyn", "ExtStat", "ImpDyn", "ImpStat")
 	for _, b := range s.Benchmarks {
-		e := s.Savings(b, TechExtension)
-		i := s.Savings(b, TechImproved)
+		e := s.Savings(b, campaign.TechExtension)
+		i := s.Savings(b, campaign.TechImproved)
 		t.addRow(b, f1(e.IQDynamicPct), f1(e.IQStaticPct), f1(i.IQDynamicPct), f1(i.IQStaticPct))
 	}
 	t.addRow("SPECINT",
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechExtension).IQDynamicPct })),
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechExtension).IQStaticPct })),
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechImproved).IQDynamicPct })),
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechImproved).IQStaticPct })))
-	overall := s.Mean(func(b string) float64 { return s.Savings(b, TechImproved).OverallDynamicPct })
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechExtension).IQDynamicPct })),
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechExtension).IQStaticPct })),
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechImproved).IQDynamicPct })),
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechImproved).IQStaticPct })))
+	overall := s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechImproved).OverallDynamicPct })
 	t.addNote("Paper SPECINT: dynamic %.0f%%, static %.0f%% (both techniques).",
 		PaperValues.ExtIQDyn, PaperValues.ExtIQStatic)
 	t.addNote("Overall processor dynamic saving (Improved, section 6 shares): %.1f%% (paper ~%.0f%%).",
@@ -212,15 +213,15 @@ func figure12Table(s *SuiteResults) *table {
 	t := newTable("Figure 12: normalised int regfile power savings, Extension and Improved (%)",
 		"Benchmark", "ExtDyn", "ExtStat", "ImpDyn", "ImpStat")
 	for _, b := range s.Benchmarks {
-		e := s.Savings(b, TechExtension)
-		i := s.Savings(b, TechImproved)
+		e := s.Savings(b, campaign.TechExtension)
+		i := s.Savings(b, campaign.TechImproved)
 		t.addRow(b, f1(e.RFDynamicPct), f1(e.RFStaticPct), f1(i.RFDynamicPct), f1(i.RFStaticPct))
 	}
 	t.addRow("SPECINT",
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechExtension).RFDynamicPct })),
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechExtension).RFStaticPct })),
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechImproved).RFDynamicPct })),
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechImproved).RFStaticPct })))
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechExtension).RFDynamicPct })),
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechExtension).RFStaticPct })),
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechImproved).RFDynamicPct })),
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechImproved).RFStaticPct })))
 	t.addNote("Paper SPECINT: Extension %.0f%%/%.0f%%, Improved %.0f%%/%.0f%%.",
 		PaperValues.ExtRFDyn, PaperValues.ExtRFStatic, PaperValues.ImpRFDyn, PaperValues.ImpRFStat)
 	return t
@@ -235,27 +236,27 @@ func summaryTable(s *SuiteResults) *table {
 		t.addRow(name, f1(paper), f1(measured))
 	}
 	add("NOOP IPC loss %", PaperValues.NOOPIPCLoss,
-		s.Mean(func(b string) float64 { return s.IPCLossPct(b, TechNOOP) }))
+		s.Mean(func(b string) float64 { return s.IPCLossPct(b, campaign.TechNOOP) }))
 	add("abella IPC loss %", PaperValues.AbellaIPCLoss,
-		s.Mean(func(b string) float64 { return s.IPCLossPct(b, TechAbella) }))
+		s.Mean(func(b string) float64 { return s.IPCLossPct(b, campaign.TechAbella) }))
 	add("Extension IPC loss %", PaperValues.ExtensionIPCLoss,
-		s.Mean(func(b string) float64 { return s.IPCLossPct(b, TechExtension) }))
+		s.Mean(func(b string) float64 { return s.IPCLossPct(b, campaign.TechExtension) }))
 	add("Improved IPC loss %", PaperValues.ImprovedIPCLoss,
-		s.Mean(func(b string) float64 { return s.IPCLossPct(b, TechImproved) }))
+		s.Mean(func(b string) float64 { return s.IPCLossPct(b, campaign.TechImproved) }))
 	add("IQ occupancy reduction %", PaperValues.OccupancyReduction,
-		s.Mean(func(b string) float64 { return s.OccupancyReductionPct(b, TechNOOP) }))
+		s.Mean(func(b string) float64 { return s.OccupancyReductionPct(b, campaign.TechNOOP) }))
 	add("IQ banks off %", PaperValues.BanksOff,
-		s.Mean(func(b string) float64 { return s.BanksOffPct(b, TechNOOP) }))
+		s.Mean(func(b string) float64 { return s.BanksOffPct(b, campaign.TechNOOP) }))
 	add("NOOP IQ dynamic saving %", PaperValues.NOOPIQDyn,
-		s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).IQDynamicPct }))
+		s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).IQDynamicPct }))
 	add("NOOP IQ static saving %", PaperValues.NOOPIQStatic,
-		s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).IQStaticPct }))
+		s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).IQStaticPct }))
 	add("abella IQ dynamic saving %", PaperValues.AbellaIQDyn,
-		s.Mean(func(b string) float64 { return s.Savings(b, TechAbella).IQDynamicPct }))
+		s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechAbella).IQDynamicPct }))
 	add("NOOP RF dynamic saving %", PaperValues.NOOPRFDyn,
-		s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).RFDynamicPct }))
+		s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).RFDynamicPct }))
 	add("NOOP RF static saving %", PaperValues.NOOPRFStatic,
-		s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).RFStaticPct }))
+		s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).RFStaticPct }))
 	return t
 }
 

@@ -90,34 +90,3 @@ func TestNoSlowdownProperty(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelSerialEquivalence: the suite runner must produce identical
-// statistics regardless of worker count (no shared-state leakage between
-// parallel runs).
-func TestParallelSerialEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the suite twice")
-	}
-	techs := []Technique{TechBaseline, TechNOOP}
-	serial := NewRunner(20_000)
-	serial.Parallel = 1
-	s1, err := serial.RunSuite(techs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel := NewRunner(20_000)
-	parallel.Parallel = 8
-	s2, err := parallel.RunSuite(techs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range s1.Benchmarks {
-		for _, tech := range techs {
-			a, c := s1.Results[b][tech].Stats, s2.Results[b][tech].Stats
-			if a.Cycles != c.Cycles || a.CommittedReal != c.CommittedReal ||
-				a.IQ.GatedWakeups != c.IQ.GatedWakeups {
-				t.Errorf("%s/%s: serial and parallel runs diverge", b, tech)
-			}
-		}
-	}
-}

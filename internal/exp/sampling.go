@@ -2,6 +2,8 @@ package exp
 
 import (
 	"fmt"
+
+	"repro/internal/campaign"
 )
 
 // Sampled reports whether the suite ran through the sampled-simulation
@@ -16,16 +18,10 @@ func (s *SuiteResults) Sampled() bool {
 func (s *SuiteResults) samplingTable() *table {
 	sp := s.Campaign.Spec.Sampling
 	conf := 0.0
+	techs := campaign.AllTechniques()
 	cols := []string{"bench"}
-	techs := []Technique{}
-	for _, t := range AllTechniques() {
-		for _, b := range s.Benchmarks {
-			if _, ok := s.Results[b][t]; ok {
-				techs = append(techs, t)
-				cols = append(cols, t.String())
-				break
-			}
-		}
+	for _, t := range techs {
+		cols = append(cols, string(t))
 	}
 	cols = append(cols, "windows", "sampled%")
 	t := newTable("", cols...)
@@ -37,7 +33,7 @@ func (s *SuiteResults) samplingTable() *table {
 		minW, maxW := -1, -1
 		minF, maxF := 0.0, 0.0
 		for _, tech := range techs {
-			r, ok := s.Results[b][tech]
+			r, ok := s.Campaign.Get(b, tech, nil)
 			if !ok || r.Sampled == nil {
 				row = append(row, "-")
 				continue
