@@ -13,6 +13,8 @@ import (
 	"testing"
 
 	"repro/internal/adaptive"
+	"repro/internal/bpred"
+	"repro/internal/cache"
 	"repro/internal/campaign"
 	"repro/internal/ckpt"
 	"repro/internal/core"
@@ -495,6 +497,50 @@ func BenchmarkLockstepSweep(b *testing.B) {
 		}
 	}
 	b.SetBytes(8 * 1_000_000)
+}
+
+// BenchmarkWindowFork measures the warm-state clone and restore layer
+// on its own: one sampled window's fork — an emulator built from the
+// window's checkpoint plus copies of the warm hierarchy and predictor —
+// and the detailed window it then runs, on mcf, whose 1 MiB footprint
+// makes the fork costly when pages are copied. The window length is
+// ckptSweepSpec's detailed warm-up plus measured window; bytes stand in
+// for the window's instructions.
+func BenchmarkWindowFork(b *testing.B) {
+	const window = 3_000
+	bench, _ := workload.ByName("mcf")
+	p := bench.Build(42)
+	e := mustEmu(b, p)
+	for n := 0; n < 100_000; n++ {
+		if _, ok := e.Next(); !ok {
+			b.Fatal("halted")
+		}
+	}
+	cp := e.Checkpoint()
+	cfg := sim.DefaultConfig()
+	cfg.MaxInsts = window
+	cfg.MaxCycles = sim.SafetyCycles(window)
+	mem, err := cache.NewHierarchy(cfg.Caches)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bp := bpred.New(cfg.Bpred)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fe, err := emu.NewFromCheckpoint(p, cp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fe.Restart = true
+		core, err := sim.NewResumable(cfg, fe, mem.Clone(), bp.Clone())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.RunSegment(context.Background(), window); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(window)
 }
 
 // BenchmarkAnalysisPass measures the whole compiler pass across the

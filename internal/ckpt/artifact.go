@@ -21,9 +21,17 @@ import (
 // holds exactly one window's state in memory at a time — the fix for
 // the unbounded rep.Checkpoints accumulation the in-memory predecessor
 // suffered from.
+//
+// Version 2 encodes each window's architectural checkpoint as a page
+// delta over the previous window of the same artifact (the first window
+// over none): only the pages whose content changed, plus the total page
+// count. A reader rebuilds a window by sharing the previous window's
+// pages and overlaying the new ones, so it still holds one footprint.
+// A version 1 artifact is refused like any unusable one, and the
+// sampler evicts and regenerates it.
 const (
 	artifactMagic   = "SDIQCKP1"
-	artifactVersion = 1
+	artifactVersion = 2
 
 	recWindow  = 1
 	recTrailer = 2
@@ -77,6 +85,7 @@ type Writer struct {
 	n     int
 	done  bool
 	wrote countingWriter
+	prev  *emu.Checkpoint // the last appended window's, the next delta's base
 }
 
 type countingWriter struct {
@@ -134,12 +143,15 @@ func (w *Writer) record(tag uint8, payload []byte) error {
 	return err
 }
 
-// Append adds one window's resume state.
+// Append adds one window's resume state. Its checkpoint is encoded as
+// a delta over the previously appended window's.
 func (w *Writer) Append(win *Window) error {
-	ck, err := win.Ckpt.MarshalBinary()
+	ck, err := win.Ckpt.MarshalDelta(w.prev)
 	if err != nil {
 		return err
 	}
+	prev := win.Ckpt
+	w.prev = &prev
 	mem := win.Mem.MarshalState()
 	bp := win.Bp.MarshalState()
 	var b binio.Writer
@@ -202,7 +214,7 @@ func (w *Writer) Abort() {
 // Reader consumes a published artifact window by window. Create one via
 // Store.OpenArtifact.
 type Reader struct {
-	f       *os.File
+	f       *os.File // nil when reading from memory
 	gz      *gzip.Reader
 	prog    *prog.Program
 	ccfg    cache.HierarchyConfig
@@ -210,6 +222,8 @@ type Reader struct {
 	budget  int64
 	trailer *Trailer
 	read    int
+	prev    *emu.Checkpoint // the last window's, the next delta's base
+	payload bytes.Buffer    // record buffer, reused across records
 }
 
 // OpenArtifact opens the artifact for key and prepares to deserialize
@@ -234,29 +248,38 @@ func (s *Store) OpenArtifact(key string, p *prog.Program, ccfg cache.HierarchyCo
 	if info, err := f.Stat(); err == nil {
 		s.bytesRead.Add(info.Size())
 	}
-	gz, err := gzip.NewReader(f)
+	r, err := newReader(f, p, ccfg, bcfg)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("ckpt: %s: %w", key, err)
 	}
-	r := &Reader{f: f, gz: gz, prog: p, ccfg: ccfg, bcfg: bcfg}
+	r.f = f
+	s.hits.Add(1)
+	return r, nil
+}
+
+// newReader starts reading an artifact from src: it opens the gzip
+// stream and checks the header's magic and version.
+func newReader(src io.Reader, p *prog.Program, ccfg cache.HierarchyConfig, bcfg bpred.Config) (*Reader, error) {
+	gz, err := gzip.NewReader(src)
+	if err != nil {
+		return nil, err
+	}
 	hdr := make([]byte, len(artifactMagic)+4+8)
 	if _, err := io.ReadFull(gz, hdr); err != nil {
-		r.Close()
-		return nil, fmt.Errorf("ckpt: %s: short header: %w", key, err)
+		gz.Close()
+		return nil, fmt.Errorf("short header: %w", err)
 	}
 	b := binio.NewReader(hdr)
 	if string(b.Raw(len(artifactMagic))) != artifactMagic {
-		r.Close()
-		return nil, fmt.Errorf("ckpt: %s: bad artifact magic", key)
+		gz.Close()
+		return nil, errors.New("bad artifact magic")
 	}
 	if v := b.U32(); v != artifactVersion {
-		r.Close()
-		return nil, fmt.Errorf("ckpt: %s: artifact version %d, want %d", key, v, artifactVersion)
+		gz.Close()
+		return nil, fmt.Errorf("artifact version %d, want %d", v, artifactVersion)
 	}
-	r.budget = b.I64()
-	s.hits.Add(1)
-	return r, nil
+	return &Reader{gz: gz, prog: p, ccfg: ccfg, bcfg: bcfg, budget: b.I64()}, nil
 }
 
 // Budget returns the generating run's instruction budget (header field).
@@ -273,15 +296,18 @@ func (r *Reader) Next() (*Window, error) {
 	}
 	h := binio.NewReader(hdr)
 	tag := h.U8()
-	n := int(h.U32())
-	if n < 0 || n > maxRecordBytes {
+	n := int64(h.U32())
+	if n > maxRecordBytes {
 		return nil, fmt.Errorf("ckpt: implausible record size %d", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r.gz, payload); err != nil {
-		return nil, fmt.Errorf("ckpt: truncated record: %w", err)
+	// Past the first MiB the buffer grows only as the payload arrives,
+	// so a corrupt length costs no more memory than the data present.
+	r.payload.Reset()
+	r.payload.Grow(int(min(n, 1<<20)))
+	if got, err := io.CopyN(&r.payload, r.gz, n); err != nil {
+		return nil, fmt.Errorf("ckpt: truncated record (%d of %d bytes): %w", got, n, err)
 	}
-	b := binio.NewReader(payload)
+	b := binio.NewReader(r.payload.Bytes())
 	switch tag {
 	case recTrailer:
 		tr := Trailer{
@@ -296,6 +322,13 @@ func (r *Reader) Next() (*Window, error) {
 		if tr.Windows != r.read {
 			return nil, fmt.Errorf("ckpt: trailer records %d windows, artifact held %d", tr.Windows, r.read)
 		}
+		// The trailer must end the stream; reading to the end also checks
+		// the gzip checksum, which catches a damaged or cut-off file.
+		if n, err := r.gz.Read(make([]byte, 1)); n != 0 {
+			return nil, errors.New("ckpt: data after the artifact trailer")
+		} else if err != io.EOF {
+			return nil, fmt.Errorf("ckpt: artifact damaged after its trailer: %w", err)
+		}
 		r.trailer = &tr
 		return nil, io.EOF
 	case recWindow:
@@ -306,11 +339,12 @@ func (r *Reader) Next() (*Window, error) {
 		if err := b.Err(); err != nil {
 			return nil, err
 		}
-		ck, err := emu.UnmarshalCheckpoint(ckBytes, r.prog)
+		ck, err := emu.UnmarshalDelta(ckBytes, r.prog, r.prev)
 		if err != nil {
 			return nil, err
 		}
 		win.Ckpt = ck
+		r.prev = &ck
 		mem, err := cache.NewHierarchy(r.ccfg)
 		if err != nil {
 			return nil, err
@@ -342,30 +376,20 @@ func (r *Reader) Trailer() (Trailer, bool) {
 
 // Close releases the reader.
 func (r *Reader) Close() error {
-	if r.gz != nil {
-		r.gz.Close()
+	r.gz.Close()
+	if r.f == nil {
+		return nil
 	}
 	return r.f.Close()
 }
 
 // checkContainer validates that data parses as an artifact container
-// header (gzip + magic + version) before WriteRaw publishes it.
+// header (gzip, magic and the current version) before WriteRaw
+// publishes it.
 func checkContainer(data []byte) error {
-	gz, err := gzip.NewReader(bytes.NewReader(data))
+	r, err := newReader(bytes.NewReader(data), nil, cache.HierarchyConfig{}, bpred.Config{})
 	if err != nil {
-		return fmt.Errorf("ckpt: upload is not an artifact: %w", err)
+		return fmt.Errorf("ckpt: upload is not a usable artifact: %w", err)
 	}
-	defer gz.Close()
-	hdr := make([]byte, len(artifactMagic)+4)
-	if _, err := io.ReadFull(gz, hdr); err != nil {
-		return fmt.Errorf("ckpt: upload header: %w", err)
-	}
-	if string(hdr[:len(artifactMagic)]) != artifactMagic {
-		return errors.New("ckpt: upload has wrong artifact magic")
-	}
-	b := binio.NewReader(hdr[len(artifactMagic):])
-	if v := b.U32(); v != artifactVersion {
-		return fmt.Errorf("ckpt: upload artifact version %d, want %d", v, artifactVersion)
-	}
-	return nil
+	return r.Close()
 }

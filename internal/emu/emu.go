@@ -7,6 +7,7 @@ package emu
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/isa"
 	"repro/internal/prog"
@@ -19,48 +20,76 @@ const (
 	pageWords = 1 << (pageBits - 3)
 )
 
+// page maps one 4KiB page of words. The memory may write the words in
+// place only while owner is its current epoch; a page mapped under any
+// other epoch is shared. A page decoded from a serialized checkpoint has
+// no owner.
+type page struct {
+	words *[pageWords]int64
+	owner *epoch
+}
+
+// epoch is one period of page ownership of a Memory; its address is its
+// identity. Pages reference the epoch they were written under, which
+// keeps that address from being reused while any of them is mapped.
+type epoch struct{ _ byte }
+
 // Memory is a sparse, paged, word-granular memory. Addresses are byte
 // addresses rounded down to 8-byte alignment.
+//
+// Pages are copy-on-write. A page is owned when its owner is the
+// memory's epoch and shared otherwise. A shared page may also be mapped
+// by checkpoints and by other memories restored from them, so it is
+// never written: the first Store to it copies it into a fresh owned
+// page. Emulator.Checkpoint hands the memory's pages to the checkpoint
+// and moves the memory to a new epoch, which marks every page shared in
+// O(1); Restore maps a checkpoint's pages the same way. A fork therefore
+// costs one map entry per page plus a copy of each page it writes, and
+// shared pages are read-only, so any number of emulators can run over
+// one checkpoint's pages concurrently.
 type Memory struct {
-	pages map[uint64]*[pageWords]int64
+	pages map[uint64]page
+	epoch *epoch
 }
 
 // NewMemory returns an empty memory.
 func NewMemory() *Memory {
-	return &Memory{pages: map[uint64]*[pageWords]int64{}}
+	return &Memory{pages: map[uint64]page{}, epoch: new(epoch)}
 }
 
 // Load reads the 8-byte word containing addr; unmapped memory reads 0.
 func (m *Memory) Load(addr uint64) int64 {
-	pg := m.pages[addr>>pageBits]
-	if pg == nil {
+	pg, ok := m.pages[addr>>pageBits]
+	if !ok {
 		return 0
 	}
-	return pg[(addr>>3)&(pageWords-1)]
+	return pg.words[(addr>>3)&(pageWords-1)]
 }
 
-// Store writes the 8-byte word containing addr.
+// Store writes the 8-byte word containing addr, first copying the page
+// if it is shared.
 func (m *Memory) Store(addr uint64, v int64) {
 	key := addr >> pageBits
 	pg := m.pages[key]
-	if pg == nil {
-		pg = new([pageWords]int64)
+	if pg.owner != m.epoch {
+		words := new([pageWords]int64)
+		if pg.words != nil {
+			*words = *pg.words
+		}
+		pg = page{words: words, owner: m.epoch}
 		m.pages[key] = pg
 	}
-	pg[(addr>>3)&(pageWords-1)] = v
+	pg.words[(addr>>3)&(pageWords-1)] = v
 }
 
 // Pages returns the number of mapped pages (for tests).
 func (m *Memory) Pages() int { return len(m.pages) }
 
-// snapshot deep-copies the memory's mapped pages.
-func (m *Memory) snapshot() map[uint64]*[pageWords]int64 {
-	pages := make(map[uint64]*[pageWords]int64, len(m.pages))
-	for k, pg := range m.pages {
-		cp := *pg
-		pages[k] = &cp
-	}
-	return pages
+// mapShared maps a copy of pages, owning none of them, in place of the
+// memory's contents.
+func (m *Memory) mapShared(pages map[uint64]page) {
+	m.pages = maps.Clone(pages)
+	m.epoch = new(epoch)
 }
 
 type position struct {
@@ -97,14 +126,23 @@ type Emulator struct {
 // New returns an emulator over a linked program with the data segment
 // loaded.
 func New(p *prog.Program) (*Emulator, error) {
-	if !p.Linked() {
-		return nil, fmt.Errorf("program %q is not linked", p.Name)
+	e, err := newBare(p)
+	if err != nil {
+		return nil, err
 	}
-	e := &Emulator{prog: p, mem: NewMemory()}
 	for i, w := range p.Data {
 		e.mem.Store(p.DataBase+uint64(8*i), w)
 	}
-	e.pos = position{p.Entry, 0, 0}
+	return e, nil
+}
+
+// newBare returns an emulator at the entry of a linked program with
+// empty memory.
+func newBare(p *prog.Program) (*Emulator, error) {
+	if !p.Linked() {
+		return nil, fmt.Errorf("program %q is not linked", p.Name)
+	}
+	e := &Emulator{prog: p, mem: NewMemory(), pos: position{p.Entry, 0, 0}}
 	e.SetDecode(true)
 	return e, nil
 }
@@ -166,7 +204,7 @@ type Checkpoint struct {
 	prog  *prog.Program
 	iregs [isa.IntRegs]int64
 	fregs [isa.FPRegs]float64
-	pages map[uint64]*[pageWords]int64
+	pages map[uint64]page // shared: never written
 	pos   position
 	stack []position
 	seq   int64
@@ -179,6 +217,8 @@ func (c *Checkpoint) Seq() int64 { return c.seq }
 
 // Checkpoint snapshots the emulator's architectural state. The snapshot
 // is independent of the emulator: later execution does not mutate it.
+// Memory is not copied: the checkpoint shares the emulator's pages and
+// the emulator copies each page on its next store to it.
 func (e *Emulator) Checkpoint() Checkpoint {
 	pos, stack := e.pos, append([]position(nil), e.stack...)
 	if e.useDec {
@@ -190,11 +230,15 @@ func (e *Emulator) Checkpoint() Checkpoint {
 			stack = append(stack, e.dec.posOf[f])
 		}
 	}
+	// The checkpoint takes the page map; the emulator goes on over a
+	// copy of it in which every page is shared.
+	pages := e.mem.pages
+	e.mem.mapShared(pages)
 	return Checkpoint{
 		prog:  e.prog,
 		iregs: e.iregs,
 		fregs: e.fregs,
-		pages: e.mem.snapshot(),
+		pages: pages,
 		pos:   pos,
 		stack: stack,
 		seq:   e.seq,
@@ -203,7 +247,8 @@ func (e *Emulator) Checkpoint() Checkpoint {
 }
 
 // Restore rewinds the emulator to a checkpoint taken from the same
-// program. The checkpoint stays valid and can be restored again.
+// program. The emulator shares the checkpoint's pages copy-on-write, so
+// the checkpoint stays valid and can be restored again.
 func (e *Emulator) Restore(c Checkpoint) error {
 	if c.prog != e.prog {
 		return fmt.Errorf("emu: checkpoint is for program %q, emulator runs %q",
@@ -211,10 +256,7 @@ func (e *Emulator) Restore(c Checkpoint) error {
 	}
 	e.iregs = c.iregs
 	e.fregs = c.fregs
-	e.mem = &Memory{pages: c.pages}
-	// The restored emulator must not write through into the checkpoint's
-	// pages, and a second Restore must see them untouched.
-	e.mem.pages = e.mem.snapshot()
+	e.mem.mapShared(c.pages)
 	e.pos = c.pos
 	e.stack = append(e.stack[:0:0], c.stack...)
 	if e.useDec {
@@ -230,9 +272,10 @@ func (e *Emulator) Restore(c Checkpoint) error {
 }
 
 // NewFromCheckpoint builds a fresh emulator resuming at a checkpoint of
-// the given linked program.
+// the given linked program. The data segment is not loaded: the
+// checkpoint's pages replace it.
 func NewFromCheckpoint(p *prog.Program, c Checkpoint) (*Emulator, error) {
-	e, err := New(p)
+	e, err := newBare(p)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,12 @@ package sample_test
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
+	"encoding/binary"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -298,4 +303,76 @@ func TestLockstepCampaignDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLockstepV1ArtifactRegenerates: an artifact in the version 1
+// format, from before window checkpoints became page deltas, is
+// unusable. A lockstep run over it evicts it, publishes a current
+// artifact, and reports exactly what the cold run did; the next run
+// resumes from the new artifact.
+func TestLockstepV1ArtifactRegenerates(t *testing.T) {
+	ctx := context.Background()
+	b := buildGzip(t)
+	dir := t.TempDir()
+	store, err := ckpt.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "f00df00df00df00df00df00df00df00d"
+	cfgs := iqConfigs()[:2]
+	run := func() []sample.Cell {
+		t.Helper()
+		cells, err := sample.RunLockstepStored(ctx, cfgs, b.Build(42), testBudget, testRegime(), store, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cells
+	}
+	want := run()
+
+	path := filepath.Join(dir, key[:2], key+".ckpt")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, withArtifactVersion(t, data, 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := run(); !reflect.DeepEqual(got, want) {
+		t.Fatal("run over a v1 artifact differs from the cold run")
+	}
+	if m := store.Metrics(); m.Evicted != 1 || m.Generated != 2 {
+		t.Fatalf("after the v1 artifact: evicted/generated = %d/%d, want 1/2", m.Evicted, m.Generated)
+	}
+	hits := store.Metrics().Hits
+	if got := run(); !reflect.DeepEqual(got, want) {
+		t.Fatal("resume from the regenerated artifact differs from the cold run")
+	}
+	if m := store.Metrics(); m.Hits != hits+1 || m.Generated != 2 {
+		t.Fatalf("rerun did not resume from the regenerated artifact: %+v", m)
+	}
+}
+
+// withArtifactVersion rewrites an artifact's header version; it follows
+// the 8-byte magic in the decompressed stream.
+func withArtifactVersion(t *testing.T, data []byte, v uint32) []byte {
+	t.Helper()
+	gz, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[8:], v)
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -7,7 +7,9 @@ package serve
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
+	"encoding/binary"
 	"io"
 	"net/http"
 	"testing"
@@ -121,6 +123,29 @@ func TestCheckpointEndpoints(t *testing.T) {
 	if v := metricValue(t, text, "sdiqd_ckpt_bytes_shipped_total"); v < float64(2*len(artifact)) {
 		t.Errorf("sdiqd_ckpt_bytes_shipped_total = %g, want >= %d (one PUT + one GET)",
 			v, 2*len(artifact))
+	}
+}
+
+// TestCheckpointUploadRefusesV1: an artifact in the version 1 format,
+// from before window checkpoints became page deltas, is refused with 422
+// like any upload that is not a usable artifact.
+func TestCheckpointUploadRefusesV1(t *testing.T) {
+	s, cl := startServer(t, Config{CacheDir: t.TempDir(), CkptDir: t.TempDir(), Workers: 2})
+	key := "1111222233334444555566667777888899990000aaaabbbbccccddddeeeeffff"
+	grantKey(s, key)
+	// A v1 header: magic, version, budget.
+	hdr := binary.LittleEndian.AppendUint32([]byte("SDIQCKP1"), 1)
+	hdr = binary.LittleEndian.AppendUint64(hdr, 1000)
+	var v1 bytes.Buffer
+	zw := gzip.NewWriter(&v1)
+	zw.Write(hdr)
+	zw.Close()
+	code, body := rawCkpt(t, cl, http.MethodPut, key, v1.Bytes())
+	if code != http.StatusUnprocessableEntity || !bytes.Contains(body, []byte("version 1")) {
+		t.Errorf("PUT v1 artifact = %d %s, want 422 naming the version", code, body)
+	}
+	if s.ckpt.Has(key) {
+		t.Fatal("v1 upload was published")
 	}
 }
 

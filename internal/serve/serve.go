@@ -535,8 +535,13 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Close cancels every running campaign immediately.
-func (s *Server) Close() { s.cancel() }
+// Close cancels every running campaign and waits for their goroutines
+// to return, so nothing writes into the cache or state directories
+// after Close.
+func (s *Server) Close() {
+	s.cancel()
+	s.wg.Wait()
+}
 
 // apiError is the uniform error body.
 type apiError struct {

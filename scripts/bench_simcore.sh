@@ -22,7 +22,7 @@ trap 'rm -f "$tmp"' EXIT
 
 # No pipe: a panicking benchmark must fail the script, and POSIX sh has
 # no pipefail to catch it through tee.
-if ! go test -bench 'Benchmark((Simulator|Emulator)Throughput|Emulator(DecodeCache|Uncached)|SampledCampaign|Sweep(No)?Ckpt|LockstepSweep)$' \
+if ! go test -bench 'Benchmark((Simulator|Emulator)Throughput|Emulator(DecodeCache|Uncached)|SampledCampaign|Sweep(No)?Ckpt|LockstepSweep|WindowFork)$' \
 	-benchtime "$benchtime" -run '^$' . > "$tmp" 2>&1; then
 	cat "$tmp" >&2
 	echo "bench_simcore: go test -bench failed" >&2
@@ -35,7 +35,7 @@ commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 stamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 
 awk -v go_version="$go_version" -v commit="$commit" -v stamp="$stamp" '
-/^Benchmark((Simulator|Emulator)Throughput|Emulator(DecodeCache|Uncached)|SampledCampaign|Sweep(No)?Ckpt|LockstepSweep)/ {
+/^Benchmark((Simulator|Emulator)Throughput|Emulator(DecodeCache|Uncached)|SampledCampaign|Sweep(No)?Ckpt|LockstepSweep|WindowFork)/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)
 	sub(/^Benchmark/, "", name)
