@@ -112,6 +112,26 @@ func TestGoldenSweepExportCSV(t *testing.T) {
 	checkGolden(t, "sweep_iq16_80_budget8k.csv", got)
 }
 
+// TestGoldenSweepTable pins the same sweep's table rendering
+// (exp.SweepReport).
+func TestGoldenSweepTable(t *testing.T) {
+	got := runSdiq(t, "-experiment", "sweep", "-sweep", "iq.entries=16,80",
+		"-budget", "8000", "-seed", "42")
+	checkGolden(t, "sweep_iq16_80_budget8k.txt", got)
+}
+
+// TestGoldenSampled pins the sampled renderings at the default regime:
+// figure 8 from sampled cells, and the summary with its error-bar table
+// (exp.SamplingReport, exp.SamplingReportCSV). The budget gives each
+// cell three windows, so the intervals are not degenerate.
+func TestGoldenSampled(t *testing.T) {
+	args := []string{"-sample", "on", "-budget", "120000", "-seed", "42"}
+	checkGolden(t, "fig8_sampled_budget120k.txt", runSdiq(t, append(args, "-experiment", "fig8")...))
+	checkGolden(t, "summary_sampled_budget120k.txt", runSdiq(t, append(args, "-experiment", "summary")...))
+	checkGolden(t, "summary_sampled_budget120k.csv",
+		runSdiq(t, append(args, "-experiment", "summary", "-format", "csv")...))
+}
+
 // TestGoldenDeterminism guards the premise the goldens stand on: two
 // fresh processes at different worker counts must emit identical bytes.
 func TestGoldenDeterminism(t *testing.T) {

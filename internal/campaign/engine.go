@@ -13,11 +13,12 @@ import (
 
 // Runner is the engine's execution indirection: it is handed every job
 // that survived the cache and dedup layers and decides where the job
-// actually simulates — inline, or on a remote worker fleet (the campaign
-// service's dispatcher). key is the job's content hash ("" when the job
-// is unhashable) and params the campaign's power parameters, which are
-// part of that hash; a remote runner ships both so the far side can
-// validate the work against the same identity the cache uses.
+// actually simulates — on a remote worker fleet (the campaign service's
+// dispatcher), or back on the engine by returning ErrRunLocal. key is
+// the job's content hash ("" when the job is unhashable) and params the
+// campaign's power parameters, which are part of that hash; a remote
+// runner ships both so the far side can validate the work against the
+// same identity the cache uses.
 //
 // The returned Result is cached and delivered exactly as an inline
 // execution's would be. A Runner must honour ctx: when it ends the job
@@ -25,6 +26,10 @@ import (
 type Runner interface {
 	RunJob(ctx context.Context, job *Job, key string, params power.Params) (Result, error)
 }
+
+// ErrRunLocal is returned by a Runner to hand a job back to the engine,
+// which then runs it inline under its Gate and checkpoint store.
+var ErrRunLocal = errors.New("campaign: run job locally")
 
 // Engine executes campaigns. The zero value runs with GOMAXPROCS workers
 // and no cache; set CacheDir to persist results across runs.
@@ -37,9 +42,9 @@ type Engine struct {
 	// lands (from worker goroutines, serialised by the engine). CLI
 	// drivers use it for progress reporting.
 	OnResult func(Result)
-	// OnJobStart, when non-nil, observes every job as its simulation
-	// actually begins — after a cache miss and dedup, holding the Gate
-	// slot. Serialised like OnResult.
+	// OnJobStart, when non-nil, observes every job as its execution
+	// begins — after a cache miss and dedup, before the Runner or the
+	// Gate sees it. Serialised like OnResult.
 	OnJobStart func(Job)
 	// OnJobError, when non-nil, observes per-job failures (serialised).
 	// Cancellation-induced skips are not failures and are not reported.
@@ -47,21 +52,19 @@ type Engine struct {
 	// Flight, when non-nil, deduplicates concurrent executions of
 	// identical jobs (same JobKey) across every engine sharing it.
 	Flight *Flight
-	// Gate, when non-nil, bounds concurrent simulations across every
-	// engine sharing it; cache and dedup hits bypass it.
+	// Gate, when non-nil, bounds concurrent inline simulations across
+	// every engine sharing it; cache and dedup hits, and jobs a Runner
+	// keeps, bypass it.
 	Gate Gate
-	// Runner, when non-nil, executes cache-missed jobs instead of the
-	// inline simulate path. The engine still owns caching and dedup: the
-	// runner only sees jobs that genuinely need executing, and its
-	// results enter the shared cache like any other. The engine's own
-	// Gate is not applied around a Runner — bounding execution is then
-	// the runner's job (the service dispatcher gates its local fallback
-	// with the same shared Gate).
+	// Runner, when non-nil, is offered every cache-missed job first. The
+	// engine still owns caching and dedup: the runner only sees jobs that
+	// genuinely need executing, and its results enter the shared cache
+	// like any other. A job it returns ErrRunLocal for runs inline.
 	Runner Runner
 	// Ckpt, when non-nil, is the checkpoint artifact store inline
 	// executions run against (ExecuteBatchStored): sampled cells of a
 	// sweep share one warming pass per CheckpointKey instead of each
-	// recomputing it. A Runner is expected to carry its own store.
+	// recomputing it.
 	Ckpt *ckpt.Store
 	// Lockstep plans sampled jobs that share a CheckpointKey (one
 	// functional identity: benchmark, seed, budget, warming class,
@@ -253,19 +256,10 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*ResultSet, error) {
 		if len(run) == 0 {
 			return
 		}
-		// execute is the one path that simulates: on the Runner, or
-		// inline under one Gate slot; successes enter the cache.
+		// execute is the one path that simulates: it offers the job to the
+		// Runner, and runs it inline under one Gate slot when there is no
+		// Runner or the Runner hands it back; successes enter the cache.
 		execute := func() ([]Result, []error) {
-			results, cerrs := make([]Result, len(run)), make([]error, len(run))
-			if e.Runner == nil && e.Gate != nil {
-				if err := e.Gate.Acquire(ctx); err != nil {
-					for i := range cerrs {
-						cerrs[i] = err
-					}
-					return results, cerrs
-				}
-				defer e.Gate.Release()
-			}
 			if e.OnJobStart != nil {
 				mu.Lock()
 				for _, idx := range run {
@@ -273,15 +267,13 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*ResultSet, error) {
 				}
 				mu.Unlock()
 			}
+			results, cerrs := make([]Result, len(run)), make([]error, len(run))
 			if e.Runner != nil {
 				// Engines with a Runner plan units of one job.
 				results[0], cerrs[0] = e.Runner.RunJob(ctx, &jobs[run[0]], keys[0], spec.Params)
-			} else {
-				bjobs := make([]*Job, len(run))
-				for i, idx := range run {
-					bjobs[i] = &jobs[idx]
-				}
-				results, cerrs = ExecuteBatchStored(ctx, bjobs, e.Ckpt)
+			}
+			if e.Runner == nil || errors.Is(cerrs[0], ErrRunLocal) {
+				results, cerrs = e.runInline(ctx, jobs, run)
 			}
 			for i, err := range cerrs {
 				if err == nil {
@@ -383,4 +375,24 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*ResultSet, error) {
 		return rs, err
 	}
 	return rs, nil
+}
+
+// runInline simulates the jobs at run in-process, as one batch, holding
+// one Gate slot.
+func (e *Engine) runInline(ctx context.Context, jobs []Job, run []int) ([]Result, []error) {
+	if e.Gate != nil {
+		if err := e.Gate.Acquire(ctx); err != nil {
+			cerrs := make([]error, len(run))
+			for i := range cerrs {
+				cerrs[i] = err
+			}
+			return make([]Result, len(run)), cerrs
+		}
+		defer e.Gate.Release()
+	}
+	bjobs := make([]*Job, len(run))
+	for i, idx := range run {
+		bjobs[i] = &jobs[idx]
+	}
+	return ExecuteBatchStored(ctx, bjobs, e.Ckpt)
 }

@@ -91,9 +91,7 @@ func NewGate(n int) Gate {
 	return make(Gate, n)
 }
 
-// Acquire takes a slot, abandoning the wait when ctx ends. It is
-// exported for runners outside the engine (the service dispatcher's
-// local-fallback path) that must share the same simulation bound.
+// Acquire takes a slot, abandoning the wait when ctx ends.
 func (g Gate) Acquire(ctx context.Context) error {
 	select {
 	case g <- struct{}{}:

@@ -17,12 +17,10 @@ import (
 	"repro/internal/trace"
 )
 
-// countedStream wraps the emulator, counting committed real (non-hint)
+// countedStream drives the emulator, counting committed real (non-hint)
 // instructions and tracking the most recent issue-queue hint so a
 // detailed window can start with the enclosing region's hint applied
-// (Core.PresetHint) instead of an uncontrolled queue. The functional
-// phases update the counters inline (see warmTo) to avoid a call and
-// a record copy per fast-forwarded instruction.
+// (Core.PresetHint) instead of an uncontrolled queue.
 type countedStream struct {
 	e        *emu.Emulator
 	real     int64
@@ -37,16 +35,6 @@ func (s *countedStream) observe(d *trace.DynInst) {
 	if d.Op != isa.HintNop {
 		s.real++
 	}
-}
-
-// Next implements trace.Stream.
-func (s *countedStream) Next() (trace.DynInst, bool) {
-	d, ok := s.e.Next()
-	if !ok {
-		return d, ok
-	}
-	s.observe(&d)
-	return d, ok
 }
 
 // warmTo advances the stream to stop real instructions (or the end of

@@ -14,8 +14,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -304,6 +306,52 @@ func TestTenantIsolation(t *testing.T) {
 		row := fmt.Sprintf(`sdiqd_tenant_campaigns_done_total{tenant=%q} 1`, tenant)
 		if !strings.Contains(text, row) {
 			t.Errorf("metrics missing %s", row)
+		}
+	}
+}
+
+// TestTenantIsolationCkptMetrics: under isolation the sdiqd_ckpt_*
+// rows sum the tenants' stores, so a tenant's sampled sweep shows up in
+// them, and every artifact it generated sits in that tenant's namespace.
+func TestTenantIsolationCkptMetrics(t *testing.T) {
+	ckptDir := t.TempDir()
+	_, cl := startServer(t, Config{
+		CacheDir:        t.TempDir(),
+		CkptDir:         ckptDir,
+		Workers:         2,
+		Auth:            testAuth(t),
+		TenantIsolation: true,
+	})
+	alice := NewClient(cl.Base)
+	alice.Token = tokAlice
+	if _, err := alice.Run(context.Background(), sampledSpec("isolation-metrics", []string{"gzip"}, 48)); err != nil {
+		t.Fatal(err)
+	}
+
+	// One artifact per warm class (plain, noop).
+	text := fetchMetrics(t, cl)
+	for _, name := range []string{"sdiqd_ckpt_artifacts", "sdiqd_ckpt_generated_total"} {
+		if v := metricValue(t, text, name); v != 2 {
+			t.Errorf("%s = %g, want 2", name, v)
+		}
+	}
+	var artifacts []string
+	err := filepath.WalkDir(ckptDir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, ".ckpt") {
+			artifacts = append(artifacts, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(artifacts) != 2 {
+		t.Errorf("%d artifacts under the checkpoint dir, want 2", len(artifacts))
+	}
+	tenantDir := filepath.Join(ckptDir, "tenants", "alice") + string(filepath.Separator)
+	for _, path := range artifacts {
+		if !strings.HasPrefix(path, tenantDir) {
+			t.Errorf("artifact %s lies outside tenants/alice/", path)
 		}
 	}
 }

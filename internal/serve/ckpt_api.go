@@ -21,17 +21,15 @@ const maxArtifactBytes = 1 << 30
 
 func (s *Server) handleCkptGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if s.ckpt == nil {
-		writeError(w, http.StatusNotFound, "no checkpoint store")
-		return
-	}
 	// Reads route through the store the key's lease granted — under
-	// tenant isolation that is the owning tenant's store, and a key the
-	// server never leased names nothing a worker has business fetching.
-	st := s.ckpt
-	if granted, ok := s.disp.grantedStore(key); ok {
-		st = granted
-	} else if s.cfg.TenantIsolation {
+	// tenant isolation the owning tenant's — or else the shared store,
+	// which isolation leaves empty: there a key the server never leased
+	// names nothing a worker has business fetching.
+	st, ok := s.disp.grantedStore(key)
+	if !ok {
+		st = s.ckpt
+	}
+	if st == nil {
 		writeError(w, http.StatusNotFound, "no artifact %.12s…", key)
 		return
 	}
@@ -51,7 +49,7 @@ func (s *Server) handleCkptGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCkptPut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if s.ckpt == nil {
+	if s.cfg.CkptDir == "" {
 		writeError(w, http.StatusNotFound, "no checkpoint store")
 		return
 	}

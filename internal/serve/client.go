@@ -8,12 +8,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strings"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/worker"
 )
 
 // Client talks to a campaign service. It is what `sdiq -remote` uses:
@@ -75,25 +75,17 @@ func httpStatus(err error) int {
 	return 0
 }
 
-// backoff returns the nth (0-based) retry delay: exponential from
-// RetryBase, capped at RetryMax, with ±25% jitter.
+// backoff is the client's retry delay: worker.Backoff over RetryBase
+// and RetryMax, defaulting to 200ms and 5s.
 func (c *Client) backoff(n int) time.Duration {
-	base := c.RetryBase
+	base, ceil := c.RetryBase, c.RetryMax
 	if base <= 0 {
 		base = 200 * time.Millisecond
 	}
-	ceil := c.RetryMax
 	if ceil <= 0 {
 		ceil = 5 * time.Second
 	}
-	d := base
-	for i := 0; i < n && d < ceil; i++ {
-		d *= 2
-	}
-	if d > ceil {
-		d = ceil
-	}
-	return d*3/4 + time.Duration(rand.Int63n(int64(d)/2+1))
+	return worker.Backoff(n, base, ceil)
 }
 
 func (c *Client) maxOffline() time.Duration {

@@ -17,19 +17,18 @@ import (
 // dispatcher is the server side of the remote worker pool. It sits
 // behind the campaign engines as their campaign.Runner (a tenantRunner
 // per campaign): every cache-missed, dedup-missed job lands in
-// runJobWith, which either offers
-// it to the lease queue (workers connected) or runs it in-process on
-// the shared gate. Workers pull jobs with long-poll leases, heartbeat
-// while they run, and upload results; a lease that misses its TTL is
-// presumed dead and its job is re-queued (bounded retries, then local
-// fallback), so a campaign always finishes — byte-identically — no
-// matter how much of the fleet dies under it.
+// runJobWith, which either offers it to the lease queue (workers
+// connected) or hands it back to the engine, which runs it in-process
+// under the shared gate. Workers pull jobs with long-poll leases,
+// heartbeat while they run, and upload results; a lease that misses its
+// TTL is presumed dead and its job is re-queued (bounded retries, then
+// local fallback), so a campaign always finishes — byte-identically —
+// no matter how much of the fleet dies under it.
 type dispatcher struct {
 	ttl       time.Duration // lease lifetime between heartbeats
 	offer     time.Duration // max queue wait before local fallback
 	workerTTL time.Duration // registered-worker staleness window
 	retries   int           // re-lease attempts after a failed lease
-	gate      campaign.Gate // shared simulation gate (local executions)
 	met       *metrics
 	// nonce is a per-boot random tag baked into every worker and lease
 	// ID. Without it a restarted coordinator reissues the same IDs from
@@ -116,7 +115,7 @@ type lease struct {
 	granted  time.Time
 }
 
-func newDispatcher(cfg Config, gate campaign.Gate, met *metrics) *dispatcher {
+func newDispatcher(cfg Config, met *metrics) *dispatcher {
 	ttl := cfg.LeaseTTL
 	if ttl <= 0 {
 		ttl = defaultLeaseTTL
@@ -147,7 +146,6 @@ func newDispatcher(cfg Config, gate campaign.Gate, met *metrics) *dispatcher {
 		offer:       offer,
 		workerTTL:   wttl,
 		retries:     retries,
-		gate:        gate,
 		met:         met,
 		nonce:       hex.EncodeToString(nb[:]),
 		workers:     make(map[string]*workerState),
@@ -160,12 +158,11 @@ func newDispatcher(cfg Config, gate campaign.Gate, met *metrics) *dispatcher {
 // --- campaign.Runner ---
 
 // runJobWith routes one cache-missed job: to the fleet when live
-// workers are registered (falling back locally if the offer times out,
-// the campaign is cancelled, or remote attempts are exhausted),
-// otherwise straight to the in-process gate. store is the checkpoint
-// store the owning campaign's tenant reads warm state from and
-// publishes it to, locally and (via the granted-keys map) across the
-// fleet.
+// workers are registered, otherwise — or when the offer times out or
+// remote attempts are exhausted — back to the engine with
+// campaign.ErrRunLocal. store is the checkpoint store the owning
+// campaign's tenant reads warm state from and publishes it to; workers
+// reach it through the granted-keys map.
 func (d *dispatcher) runJobWith(ctx context.Context, job *campaign.Job, key string, params power.Params, store *ckpt.Store) (campaign.Result, error) {
 	if key != "" && d.hasWorkers() {
 		res, err, done := d.runRemote(ctx, job, key, params, store)
@@ -174,7 +171,8 @@ func (d *dispatcher) runJobWith(ctx context.Context, job *campaign.Job, key stri
 		}
 		d.met.jobsFellBack.Add(1)
 	}
-	return d.runLocal(ctx, job, store)
+	d.met.jobsLocal.Add(1)
+	return campaign.Result{}, campaign.ErrRunLocal
 }
 
 // tenantRunner is the campaign.Runner a tenant-scoped campaign gets:
@@ -218,17 +216,6 @@ func (d *dispatcher) runRemote(ctx context.Context, job *campaign.Job, key strin
 		d.abandon(t)
 		return campaign.Result{}, ctx.Err(), true
 	}
-}
-
-// runLocal executes in-process under the shared gate — the exact path
-// the server ran every job through before the worker pool existed.
-func (d *dispatcher) runLocal(ctx context.Context, job *campaign.Job, store *ckpt.Store) (campaign.Result, error) {
-	if err := d.gate.Acquire(ctx); err != nil {
-		return campaign.Result{}, err
-	}
-	defer d.gate.Release()
-	d.met.jobsLocal.Add(1)
-	return campaign.ExecuteStored(ctx, job, store)
 }
 
 // enqueueLocked puts a task on the queue (front for retries, so a

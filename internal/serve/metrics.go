@@ -33,7 +33,7 @@ type metrics struct {
 	leasesExpired     atomic.Int64 // leases that missed their TTL (dead worker)
 	leaseRequeues     atomic.Int64 // jobs put back on the queue after a failed lease
 	jobsRemote        atomic.Int64 // jobs completed by workers (validated uploads)
-	jobsLocal         atomic.Int64 // jobs executed in-process
+	jobsLocal         atomic.Int64 // jobs handed back to the engine to run in-process
 	jobsFellBack      atomic.Int64 // jobs reclaimed from the fleet for local execution
 	workerJobFailures atomic.Int64 // worker-reported execution errors
 	resultsRejected   atomic.Int64 // uploads that failed JobKey/identity validation

@@ -115,17 +115,15 @@ type Config struct {
 }
 
 // Server owns the campaign registry, the shared executor gate, the
-// fleet-wide dedup group and the metrics. Create with New, expose with
-// Handler, stop with Drain.
+// shared scope and the metrics. Create with New, expose with Handler,
+// stop with Drain.
 type Server struct {
 	cfg    Config
 	gate   campaign.Gate
-	flight *campaign.Flight
+	*scope // shared by every client; empty under tenant isolation
 	met    metrics
 	disp   *dispatcher
-	ckpt   *ckpt.Store     // nil when CkptDir is unset or unusable
-	store  *store.Store    // nil when StateDir is unset or unusable
-	rcache *campaign.Cache // GC handle on CacheDir; nil when cache is off
+	store  *store.Store // nil when StateDir is unset or unusable
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -138,22 +136,69 @@ type Server struct {
 	order     []string
 	active    map[string]int // running campaigns per client
 
-	// tenants is per-client accounting plus, under TenantIsolation, each
-	// tenant's private stores. Guarded by tmu (not mu: tenant stores are
-	// opened lazily on paths that also take mu).
+	// tenants is per-client accounting plus each client's scope. Guarded
+	// by tmu (not mu: tenant scopes are opened lazily on paths that also
+	// take mu).
 	tmu     sync.Mutex
 	tenants map[string]*tenantState
 }
 
-// tenantState is one client's accounting and, when isolation is on, its
-// private result cache, checkpoint store and dedup group.
+// tenantState is one client's accounting and the scope its campaigns
+// run in.
 type tenantState struct {
 	submitted, done, failed int64 // guarded by Server.tmu
+	*scope
+}
 
-	// Isolation-only (nil/zero otherwise):
-	flight *campaign.Flight
-	ckpt   *ckpt.Store     // may stay nil (no CkptDir, or open failed)
-	rcache *campaign.Cache // GC handle on the tenant's cache dir
+// scope is what a set of campaigns shares: one result cache directory
+// with its GC handle, one checkpoint store and one in-flight dedup
+// group. Server.scopeFor decides which clients share one.
+type scope struct {
+	cacheDir string
+	rcache   *campaign.Cache // GC handle on cacheDir; nil when caching is off
+	ckpt     *ckpt.Store     // nil when checkpointing is off
+	flight   *campaign.Flight
+}
+
+// openScope opens a scope over the given directories ("" turns that
+// store off). A store that fails to open degrades to off rather than
+// refusing to serve: both are optimizations, not correctness
+// dependencies. But say so — a typo'd -ckpt silently costing the fleet
+// its shared warming is a debugging trap.
+func openScope(cacheDir, ckptDir, who string) *scope {
+	sc := &scope{cacheDir: cacheDir, flight: &campaign.Flight{}}
+	var err error
+	if sc.ckpt, err = ckpt.Open(ckptDir); err != nil {
+		log.Printf("sdiqd: %scheckpoint store disabled: %v", who, err)
+	}
+	if sc.rcache, err = campaign.OpenCache(cacheDir); err != nil {
+		log.Printf("sdiqd: %sresult cache GC disabled: %v", who, err)
+	}
+	return sc
+}
+
+// scopeFor resolves the scope client's campaigns run in; client ""
+// resolves the server's shared scope. This is the one place tenant
+// isolation is decided. Without it every client shares the scope rooted
+// at CacheDir and CkptDir. With it each client opens a private scope
+// under <dir>/tenants/<client>, and the shared scope stays empty, so no
+// store, cache bound or dedup group ever spans two tenants.
+func (s *Server) scopeFor(client string) *scope {
+	switch {
+	case !s.cfg.TenantIsolation && client == "":
+		return openScope(s.cfg.CacheDir, s.cfg.CkptDir, "")
+	case !s.cfg.TenantIsolation:
+		return s.scope
+	case client == "":
+		return &scope{}
+	}
+	sub := func(root string) string {
+		if root == "" {
+			return ""
+		}
+		return filepath.Join(root, "tenants", client)
+	}
+	return openScope(sub(s.cfg.CacheDir), sub(s.cfg.CkptDir), "tenant "+client+": ")
 }
 
 // campaignRun is one submitted campaign's full lifecycle state.
@@ -165,6 +210,7 @@ type campaignRun struct {
 	submitted time.Time
 	tracker   *campaign.Tracker
 	hub       *hub
+	scope     *scope // resolved once, at submission or recovery
 	// ckptKeys are the checkpoint artifact keys this campaign's sampled
 	// jobs can reference (computed once at submission). DELETE uses them
 	// to evict artifacts no remaining campaign references.
@@ -202,7 +248,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		gate:      campaign.NewGate(workers),
-		flight:    &campaign.Flight{},
 		met:       metrics{start: time.Now()},
 		ctx:       ctx,
 		cancel:    cancel,
@@ -210,31 +255,15 @@ func New(cfg Config) *Server {
 		active:    make(map[string]int),
 		tenants:   make(map[string]*tenantState),
 	}
-	// A store that fails to open degrades to checkpointing-off rather
-	// than refusing to serve: the feature is an optimization, not a
-	// correctness dependency. But say so — a typo'd -ckpt silently
-	// costing the fleet its shared warming is a debugging trap.
+	s.scope = s.scopeFor("")
 	var err error
-	ckptRoot := cfg.CkptDir
-	if cfg.TenantIsolation && ckptRoot != "" {
-		// Tenant stores live under CkptDir/tenants/<client>; the shared
-		// store moves aside so its recursive accounting (DiskStat, GC)
-		// never reaches into a tenant's namespace.
-		ckptRoot = filepath.Join(ckptRoot, "shared")
-	}
-	if s.ckpt, err = ckpt.Open(ckptRoot); err != nil {
-		log.Printf("sdiqd: checkpoint store disabled: %v", err)
-	}
 	if s.store, err = store.Open(cfg.StateDir, cfg.SnapshotEvery); err != nil {
 		log.Printf("sdiqd: durable state disabled: %v", err)
 	}
 	if s.store != nil && cfg.CacheDir == "" {
 		log.Printf("sdiqd: durable state without a result cache: recovered campaigns will re-simulate finished jobs")
 	}
-	if s.rcache, err = campaign.OpenCache(cfg.CacheDir); err != nil {
-		log.Printf("sdiqd: result cache GC disabled: %v", err)
-	}
-	s.disp = newDispatcher(cfg, s.gate, &s.met)
+	s.disp = newDispatcher(cfg, &s.met)
 	s.recover()
 	s.startJanitor()
 	return s
@@ -285,6 +314,7 @@ func (s *Server) recover() {
 		if !auth.ValidName(client) {
 			client = sanitizeClient(client)
 		}
+		sc := s.tenant(client).scope
 		rc := &campaignRun{
 			id:        rec.Meta.ID,
 			client:    client,
@@ -293,7 +323,8 @@ func (s *Server) recover() {
 			submitted: rec.Meta.Submitted,
 			tracker:   campaign.NewTracker(jobs),
 			hub:       newHub(len(jobs), s.cfg.EventCompactAfter),
-			ckptKeys:  ckptKeysOf(s.ckptStoreOf(client), jobs),
+			scope:     sc,
+			ckptKeys:  ckptKeysOf(sc.ckpt, jobs),
 		}
 		s.campaigns[rc.id] = rc
 		s.order = append(s.order, rc.id)
@@ -365,8 +396,8 @@ func (s *Server) startJanitor() {
 
 // gcOnce applies both state bounds: finished campaigns past the
 // registry TTL are dropped (registry, durable state, orphaned
-// checkpoint artifacts), and the result cache is trimmed to its byte
-// bound, LRU first — per tenant under isolation, so one tenant's churn
+// checkpoint artifacts), and each scope's result cache is trimmed to
+// the byte bound, LRU first — so under isolation one tenant's churn
 // cannot evict another's results.
 func (s *Server) gcOnce() {
 	if ttl := s.cfg.RegistryTTL; ttl > 0 {
@@ -386,40 +417,29 @@ func (s *Server) gcOnce() {
 			s.met.campaignsEvicted.Add(1)
 		}
 		type evictSet struct {
-			keys   []string
-			client string
+			keys []string
+			sc   *scope
 		}
 		var evict []evictSet
 		s.mu.Lock()
 		for _, id := range victims {
-			if keys, client := s.dropLocked(id); len(keys) > 0 {
-				evict = append(evict, evictSet{keys, client})
+			if keys, sc := s.dropLocked(id); len(keys) > 0 {
+				evict = append(evict, evictSet{keys, sc})
 			}
 		}
 		s.mu.Unlock()
 		for _, e := range evict {
-			st := s.ckptStoreOf(e.client)
 			for _, k := range e.keys {
-				st.Remove(k)
+				e.sc.ckpt.Remove(k)
 			}
 		}
 	}
 	if max := s.cfg.CacheMaxBytes; max > 0 {
-		caches := []*campaign.Cache{s.rcache}
-		if s.cfg.TenantIsolation {
-			// Each tenant's cache is bounded separately; the root handle
-			// would enforce one shared LRU bound across all of them.
-			caches = caches[:0]
-			s.tmu.Lock()
-			for _, ts := range s.tenants {
-				if ts.rcache != nil {
-					caches = append(caches, ts.rcache)
-				}
+		for _, sc := range s.scopes() {
+			if sc.rcache == nil {
+				continue
 			}
-			s.tmu.Unlock()
-		}
-		for _, c := range caches {
-			if n, _, err := c.GC(max); err != nil {
+			if n, _, err := sc.rcache.GC(max); err != nil {
 				log.Printf("sdiqd: result cache gc: %v", err)
 			} else if n > 0 {
 				s.met.cacheEvictions.Add(int64(n))
@@ -429,58 +449,30 @@ func (s *Server) gcOnce() {
 }
 
 // tenant returns (creating if needed) the client's accounting record,
-// lazily opening its private stores when isolation is on.
+// resolving its scope on creation.
 func (s *Server) tenant(client string) *tenantState {
 	s.tmu.Lock()
 	defer s.tmu.Unlock()
 	ts, ok := s.tenants[client]
 	if !ok {
-		ts = &tenantState{}
-		if s.cfg.TenantIsolation {
-			ts.flight = &campaign.Flight{}
-			if s.cfg.CkptDir != "" {
-				var err error
-				if ts.ckpt, err = ckpt.Open(filepath.Join(s.cfg.CkptDir, "tenants", client)); err != nil {
-					log.Printf("sdiqd: tenant %s: checkpoint store disabled: %v", client, err)
-				}
-			}
-			if dir := s.tenantCacheDir(client); dir != "" {
-				var err error
-				if ts.rcache, err = campaign.OpenCache(dir); err != nil {
-					log.Printf("sdiqd: tenant %s: result cache gc disabled: %v", client, err)
-				}
-			}
-		}
+		ts = &tenantState{scope: s.scopeFor(client)}
 		s.tenants[client] = ts
 	}
 	return ts
 }
 
-// tenantCacheDir is where the client's results cache: a per-tenant
-// subdirectory under isolation, the shared cache otherwise.
-func (s *Server) tenantCacheDir(client string) string {
-	if !s.cfg.TenantIsolation || s.cfg.CacheDir == "" {
-		return s.cfg.CacheDir
+// scopes lists every distinct scope: the shared one, then each
+// tenant's private one.
+func (s *Server) scopes() []*scope {
+	s.tmu.Lock()
+	defer s.tmu.Unlock()
+	out := []*scope{s.scope}
+	for _, ts := range s.tenants {
+		if ts.scope != s.scope {
+			out = append(out, ts.scope)
+		}
 	}
-	return filepath.Join(s.cfg.CacheDir, "tenants", client)
-}
-
-// ckptStoreOf is the checkpoint store the client's campaigns use.
-func (s *Server) ckptStoreOf(client string) *ckpt.Store {
-	if !s.cfg.TenantIsolation {
-		return s.ckpt
-	}
-	return s.tenant(client).ckpt
-}
-
-// flightOf is the in-flight dedup group the client's campaigns share:
-// fleet-wide normally, per-tenant under isolation (cross-tenant dedup
-// would hand one tenant another's results).
-func (s *Server) flightOf(client string) *campaign.Flight {
-	if !s.cfg.TenantIsolation {
-		return s.flight
-	}
-	return s.tenant(client).flight
+	return out
 }
 
 // Handler returns the service's HTTP routes. With Config.Auth set,
@@ -592,7 +584,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", cerr)
 		return
 	}
-	ckptKeys := ckptKeysOf(s.ckptStoreOf(client), jobs)
+	ts := s.tenant(client)
+	ckptKeys := ckptKeysOf(ts.ckpt, jobs)
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -619,6 +612,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		submitted: time.Now().UTC(),
 		tracker:   campaign.NewTracker(jobs),
 		hub:       newHub(len(jobs), s.cfg.EventCompactAfter),
+		scope:     ts.scope,
 		ckptKeys:  ckptKeys,
 	}
 	s.campaigns[id] = rc
@@ -641,7 +635,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.met.campaignsSubmitted.Add(1)
 	s.met.campaignsActive.Add(1)
-	ts := s.tenant(client)
 	s.tmu.Lock()
 	ts.submitted++
 	s.tmu.Unlock()
@@ -661,22 +654,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // tracker, event hub and metrics.
 func (s *Server) run(rc *campaignRun) {
 	defer s.wg.Done()
-	// Everything tenant-scoped is resolved once per campaign: under
-	// isolation the cache dir, checkpoint store and dedup group are the
-	// owner's private ones, and the runner pins jobs (local or remote) to
-	// the same store so a worker's uploaded artifact lands in the right
-	// namespace.
-	tckpt := s.ckptStoreOf(rc.client)
+	// The runner pins remote jobs to the campaign's checkpoint store too,
+	// so a worker's uploaded artifact lands in the right namespace.
+	sc := rc.scope
 	eng := &campaign.Engine{
 		// Per-campaign parallelism: the local gate bounds in-process
 		// simulations; live remote capacity is added on top so a fleet
 		// actually raises throughput instead of idling behind the gate.
 		Workers:  cap(s.gate) + s.disp.extraCapacity(),
-		CacheDir: s.tenantCacheDir(rc.client),
-		Ckpt:     tckpt,
-		Flight:   s.flightOf(rc.client),
+		CacheDir: sc.cacheDir,
+		Ckpt:     sc.ckpt,
+		Flight:   sc.flight,
 		Gate:     s.gate,
-		Runner:   &tenantRunner{d: s.disp, ckpt: tckpt}, // remote-or-local routing per cache-missed job
+		Runner:   &tenantRunner{d: s.disp, ckpt: sc.ckpt}, // the fleet, or back to the engine
 		OnResult: func(r campaign.Result) {
 			switch {
 			case r.Dedup:
@@ -939,7 +929,7 @@ func (s *Server) tenantRows() []labelRow {
 			labelRow{"sdiqd_tenant_campaigns_failed_total", "Campaigns finished with an error, by tenant.", "counter", lbl, float64(ts.failed)},
 			labelRow{"sdiqd_tenant_campaigns_active", "Campaigns currently running, by tenant.", "gauge", lbl, float64(active[c])},
 		)
-		if s.cfg.TenantIsolation && ts.ckpt != nil {
+		if ts.scope != s.scope && ts.ckpt != nil {
 			artifacts, bytes := ts.ckpt.DiskStat()
 			rows = append(rows,
 				labelRow{"sdiqd_tenant_ckpt_artifacts", "Checkpoint artifacts on disk, by tenant.", "gauge", lbl, float64(artifacts)},
@@ -950,14 +940,32 @@ func (s *Server) tenantRows() []labelRow {
 	return rows
 }
 
-// ckptRows renders the checkpoint store's live metrics (nil store → no
-// rows, so scraping a store-less server is unchanged).
+// ckptRows renders the checkpoint stores' live metrics, summed over
+// every scope (no store → no rows, so scraping a store-less server is
+// unchanged).
 func (s *Server) ckptRows() []row {
-	if s.ckpt == nil {
+	var (
+		m                ckpt.Metrics
+		artifacts, bytes int64
+		stores           int
+	)
+	for _, sc := range s.scopes() {
+		if sc.ckpt == nil {
+			continue
+		}
+		stores++
+		sm := sc.ckpt.Metrics()
+		m.Hits += sm.Hits
+		m.Misses += sm.Misses
+		m.Generated += sm.Generated
+		m.Evicted += sm.Evicted
+		a, b := sc.ckpt.DiskStat()
+		artifacts += a
+		bytes += b
+	}
+	if stores == 0 {
 		return nil
 	}
-	m := s.ckpt.Metrics()
-	artifacts, bytes := s.ckpt.DiskStat()
 	return []row{
 		{"sdiqd_ckpt_hits_total", "Checkpoint artifacts resumed from the store.", "counter", float64(m.Hits)},
 		{"sdiqd_ckpt_misses_total", "Checkpoint artifact lookups that missed.", "counter", float64(m.Misses)},
@@ -992,12 +1000,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "campaign %s is still running", id)
 		return
 	}
-	orphans, client := s.dropLocked(id)
+	orphans, sc := s.dropLocked(id)
 	s.mu.Unlock()
 	s.store.Remove(id)
-	st := s.ckptStoreOf(client)
 	for _, k := range orphans {
-		st.Remove(k)
+		sc.ckpt.Remove(k)
 	}
 	s.met.campaignsDeleted.Add(1)
 	w.WriteHeader(http.StatusNoContent)
@@ -1006,16 +1013,14 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // dropLocked removes a campaign from the registry (the caller holds
 // s.mu) and returns the checkpoint keys orphaned by its departure — the
 // campaign's keys minus every key a surviving campaign (running or
-// finished) can still reference — plus the owning client, so the caller
-// evicts from that tenant's store. Under isolation the reference check
-// only counts same-tenant campaigns: another tenant referencing the
-// same key holds its own copy in its own store.
-func (s *Server) dropLocked(id string) (orphans []string, client string) {
+// finished) of the same scope can still reference — plus that scope,
+// whose store the caller evicts them from. A campaign in another scope
+// holds its own copy in its own store.
+func (s *Server) dropLocked(id string) (orphans []string, sc *scope) {
 	rc, ok := s.campaigns[id]
 	if !ok {
-		return nil, ""
+		return nil, nil
 	}
-	client = rc.client
 	delete(s.campaigns, id)
 	for i, oid := range s.order {
 		if oid == id {
@@ -1026,7 +1031,7 @@ func (s *Server) dropLocked(id string) (orphans []string, client string) {
 	for k := range rc.ckptKeys {
 		referenced := false
 		for _, other := range s.campaigns {
-			if s.cfg.TenantIsolation && other.client != rc.client {
+			if other.scope != rc.scope {
 				continue
 			}
 			if _, ok := other.ckptKeys[k]; ok {
@@ -1038,7 +1043,7 @@ func (s *Server) dropLocked(id string) (orphans []string, client string) {
 			orphans = append(orphans, k)
 		}
 	}
-	return orphans, client
+	return orphans, rc.scope
 }
 
 // errCampaignFailed wraps a failed campaign's server-side error for

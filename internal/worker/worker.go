@@ -96,27 +96,31 @@ func (w *Worker) Shutdown() {
 	}
 }
 
-// backoff returns the nth (0-based) retry delay: exponential from
-// RetryBase, capped at RetryMax, with ±25% jitter so a restarted
-// coordinator isn't stampeded by its whole fleet at once.
-func (w *Worker) backoff(n int) time.Duration {
-	base := w.RetryBase
-	if base <= 0 {
-		base = 500 * time.Millisecond
-	}
-	ceil := w.RetryMax
-	if ceil <= 0 {
-		ceil = 15 * time.Second
-	}
+// Backoff returns the nth (0-based) delay of a jittered exponential
+// retry schedule: base doubled n times and capped at ceil, then scaled
+// by a random factor in [0.75, 1.25) so a restarted coordinator isn't
+// stampeded by every client retrying at once. base and ceil must be
+// positive.
+func Backoff(n int, base, ceil time.Duration) time.Duration {
 	d := base
 	for i := 0; i < n && d < ceil; i++ {
 		d *= 2
 	}
-	if d > ceil {
-		d = ceil
+	d = min(d, ceil)
+	return d*3/4 + time.Duration(rand.Int63n(max(int64(d)/2, 1)))
+}
+
+// backoff is the worker's retry delay: Backoff over RetryBase and
+// RetryMax, defaulting to 500ms and 15s.
+func (w *Worker) backoff(n int) time.Duration {
+	base, ceil := w.RetryBase, w.RetryMax
+	if base <= 0 {
+		base = 500 * time.Millisecond
 	}
-	// Jitter in [0.75, 1.25) of the nominal delay.
-	return d*3/4 + time.Duration(rand.Int63n(int64(d)/2+1))
+	if ceil <= 0 {
+		ceil = 15 * time.Second
+	}
+	return Backoff(n, base, ceil)
 }
 
 // register joins (or rejoins) the server, retrying transient failures

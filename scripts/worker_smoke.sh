@@ -7,10 +7,12 @@
 # server. The server and both workers run with -ckpt, so the sampled
 # sweep also smokes checkpoint sharing: warm state generated on one
 # worker must be shipped through the server and reused, never recomputed.
-# A second phase re-runs the whole fleet with -auth: the worker carries
-# its bearer token, bad-token probes are refused with 401, and the
-# authed remote sweep is still byte-identical to the local run. CI runs
-# this on every push; it needs only bash, curl and go.
+# A second phase re-runs the whole fleet with -auth and
+# -tenant-isolation: the worker carries its bearer token, bad-token
+# probes are refused with 401, the authed remote sweep is still
+# byte-identical to the local run, and the checkpoint metrics count the
+# artifacts in the tenant's own store. CI runs this on every push; it
+# needs only bash, curl and go.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -95,7 +97,7 @@ if kill -0 "$SRV_PID" 2>/dev/null; then
 fi
 grep -q "drained" "$WORK/sdiqd.log"
 
-echo "== authed fleet: restart server with -auth, worker presents its token"
+echo "== authed fleet: restart server with -auth -tenant-isolation, worker presents its token"
 TENANT_TOKEN="smoke-tenant-secret"
 WORKER_TOKEN="smoke-worker-secret"
 cat >"$WORK/tokens.json" <<EOF
@@ -105,7 +107,7 @@ cat >"$WORK/tokens.json" <<EOF
 ]}
 EOF
 "$WORK/sdiqd" -addr "$ADDR" -cache "$WORK/cache-auth" -ckpt "$WORK/ckpt-auth" -lease-ttl 5s \
-    -auth "$WORK/tokens.json" >"$WORK/sdiqd-auth.log" 2>&1 &
+    -auth "$WORK/tokens.json" -tenant-isolation >"$WORK/sdiqd-auth.log" 2>&1 &
 SRV_PID=$!
 for _ in $(seq 1 50); do
     curl -fs "http://$ADDR/healthz" >/dev/null 2>&1 && break
@@ -142,6 +144,9 @@ diff "$WORK/authed.csv" "$WORK/local.csv"
 curl -fs "http://$ADDR/metrics" >"$WORK/metrics-auth.txt"
 grep -q '^sdiqd_jobs_remote_total [1-9]' "$WORK/metrics-auth.txt" || {
     echo "no job ran remotely under auth"; cat "$WORK/sdiqw-auth.log"; exit 1
+}
+grep -q '^sdiqd_ckpt_artifacts [1-9]' "$WORK/metrics-auth.txt" || {
+    echo "no artifact counted in the tenant's checkpoint store"; exit 1
 }
 
 kill -TERM "$W1_PID" "$SRV_PID"
